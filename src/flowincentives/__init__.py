@@ -20,6 +20,7 @@ from .errors import (
     InfeasibleModelError,
     InputError,
     OracleSizeError,
+    SolverLimitError,
 )
 from .flow import (
     DemandModel,
@@ -27,6 +28,7 @@ from .flow import (
     build_demand_model,
     build_location_matrix,
     compose_a,
+    deal_counts,
     expected_volume,
     scenario1_expected_volume,
     total_travel_time,

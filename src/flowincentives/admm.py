@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, InputError
+from .errors import DivergenceError, InputError, SolverLimitError
+from .flow import deal_counts
 from .kernels import gamma_solve
 from .lp import LinearProgram, solve_binary_mip
 
@@ -373,134 +374,38 @@ def run_admm(problem, cfg=None):
     )
 
 
-def _greedy_rounding_seed(u_star, demand, columns, costs, budget):
-    """Feasible warm start: per-OD largest-remainder counts, then budget repair."""
-    n_cols = u_star.size
-    counts = np.zeros(n_cols, dtype=int)
-    od_cols = {}
-    for k in range(demand.q.size):
-        cols = np.nonzero(demand.d_matrix[k] > 0)[0]
-        od_cols[k] = cols
-        target = np.clip(u_star[cols], 0.0, None)
-        need = int(round(demand.q[k]))
-        base = np.floor(target).astype(int)
-        base = np.minimum(base, need)
-        while base.sum() > need:  # guard against overshoot from u* noise
-            base[np.argmax(base)] -= 1
-        remainder = target - base
-        order = np.argsort(-remainder, kind="stable")
-        short = need - base.sum()
-        for idx in order[:short]:
-            base[idx] += 1
-        counts[cols] = base
-    # repair the budget by demoting the most expensive offers to $0
-    zero_col = {k: od_cols[k][np.argmin(costs[od_cols[k]])] for k in od_cols}
-    while counts @ costs > budget + 1e-9:
-        paid = np.nonzero((counts > 0) & (costs > 0))[0]
-        col = paid[np.argmax(costs[paid])]
-        k = int(np.nonzero(demand.d_matrix[:, col])[0][0])
-        counts[col] -= 1
-        counts[zero_col[k]] += 1
-    s_mat = np.zeros((n_cols, demand.num_drivers))
-    remaining = counts.copy()
-    for n, od in enumerate(demand.driver_to_od):
-        for col in od_cols[od]:
-            if remaining[col] > 0:
-                s_mat[col, n] = 1.0
-                remaining[col] -= 1
-                break
-    return s_mat
-
-
 def round_assignment(u_star, demand, costs, budget, rel_gap=0.0, node_limit=20_000):
     """Nearest feasible binary assignment in L1 distance on column sums.
 
-    Minimizes ||S 1 - u*||_1 subject to one offer per driver (inside the
-    driver's own OD block), the budget row, and per-OD totals. The absolute
-    values are linearized with auxiliary variables e >= +/-(S 1 - u*) and
-    the model is solved by branch-and-bound, warm-started from a greedy
-    largest-remainder rounding.
+    Drivers of one OD pair are interchangeable, so the integer program
+    chooses offer counts u directly: minimize ||u - u*||_1 subject to the
+    per-OD totals D u = q and the budget row, with the absolute values
+    linearized by auxiliary variables e >= +/-(u - u*). The counts are
+    solved by branch-and-bound and dealt to drivers at the end. Raises
+    SolverLimitError when ``node_limit`` runs out before any count vector
+    is found.
     """
     u_star = np.clip(np.asarray(u_star, dtype=float), 0.0, None)
     costs = np.asarray(costs, dtype=float)
     n_cols = u_star.size
-    n_drivers = demand.num_drivers
-    columns = [np.nonzero(demand.d_matrix[od] > 0)[0] for od in demand.driver_to_od]
-    var_index = {}
-    for n, cols in enumerate(columns):
-        for col in cols:
-            var_index[(n, int(col))] = len(var_index)
-    n_bin = len(var_index)
-    n_vars = n_bin + n_cols  # binaries then one e per column row
-
-    c_vec = np.zeros(n_vars)
-    c_vec[n_bin:] = 1.0
-    a_eq = np.zeros((n_drivers, n_vars))
-    for (n, col), j in var_index.items():
-        a_eq[n, j] = 1.0
-    b_eq = np.ones(n_drivers)
-    rows = []
-    rhs = []
-    budget_row = np.zeros(n_vars)
-    for (n, col), j in var_index.items():
-        budget_row[j] = costs[col]
-    rows.append(budget_row)
-    rhs.append(budget)
-    for r in range(n_cols):
-        plus = np.zeros(n_vars)
-        minus = np.zeros(n_vars)
-        for (n, col), j in var_index.items():
-            if col == r:
-                plus[j] = 1.0
-                minus[j] = -1.0
-        plus[n_bin + r] = -1.0
-        minus[n_bin + r] = -1.0
-        rows.append(plus)
-        rhs.append(u_star[r])
-        rows.append(minus)
-        rhs.append(-u_star[r])
-    # drivers of one OD pair are interchangeable, which makes the search
-    # tree factorially symmetric; force same-OD drivers to pick columns in
-    # nondecreasing rank order so each column-count pattern has exactly one
-    # representative (objective and column sums are unaffected)
-    for n in range(n_drivers - 1):
-        if demand.driver_to_od[n] != demand.driver_to_od[n + 1]:
-            continue
-        row = np.zeros(n_vars)
-        for rank, col in enumerate(columns[n]):
-            row[var_index[(n, int(col))]] = rank
-            row[var_index[(n + 1, int(col))]] = -rank
-        rows.append(row)
-        rhs.append(0.0)
-    # the per-driver sum-to-one rows cap the binaries, so no explicit x <= 1
-    lp = LinearProgram(c=c_vec, a_ub=np.array(rows), b_ub=np.array(rhs), a_eq=a_eq, b_eq=b_eq)
-
-    seed_s = _greedy_rounding_seed(u_star, demand, columns, costs, budget)
-    x0 = np.zeros(n_vars)
-    for (n, col), j in var_index.items():
-        x0[j] = seed_s[col, n]
-    x0[n_bin:] = np.abs(seed_s.sum(axis=1) - u_star)
-
-    res = solve_binary_mip(
-        lp,
-        range(n_bin),
-        rel_gap=rel_gap,
-        node_limit=node_limit,
-        initial_solution=x0,
-        capped_by_structure=True,
+    eye = np.eye(n_cols)
+    budget_row = np.concatenate([costs, np.zeros(n_cols)])
+    # variables: counts u, then one e per column
+    lp = LinearProgram(
+        c=np.concatenate([np.zeros(n_cols), np.ones(n_cols)]),
+        a_ub=np.vstack([budget_row, np.hstack([eye, -eye]), np.hstack([-eye, -eye])]),
+        b_ub=np.concatenate([[budget], u_star, -u_star]),
+        a_eq=np.hstack([demand.d_matrix, np.zeros_like(demand.d_matrix)]),
+        b_eq=demand.q,
     )
+    res = solve_binary_mip(lp, range(n_cols), rel_gap=rel_gap, node_limit=node_limit)
     if res.status == "infeasible":
         raise AssertionError(
             "rounding model infeasible; the $0 offer should always admit a solution"
         )
-    s_mat = np.zeros((n_cols, n_drivers))
-    for (n, col), j in var_index.items():
-        s_mat[col, n] = round(res.x[j])
-    row_mass = s_mat.sum(axis=0)
-    if not np.all(row_mass == 1.0):
-        raise AssertionError("rounded assignment lost the one-offer-per-driver structure")
-    if float(costs @ s_mat.sum(axis=1)) > budget + 1e-6:
+    if res.x is None:
+        raise SolverLimitError("node_limit", node_limit)
+    counts = res.x[:n_cols]
+    if float(costs @ counts) > budget + 1e-6:
         raise AssertionError("rounded assignment exceeds the budget")
-    if not np.allclose(demand.d_matrix @ s_mat.sum(axis=1), demand.q):
-        raise AssertionError("rounded assignment broke the per-OD totals")
-    return s_mat
+    return deal_counts(counts, demand)

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .errors import InfeasibleModelError, InputError, OracleSizeError
+from .errors import InfeasibleModelError, InputError, OracleSizeError, SolverLimitError
 from .harness import (
     appendix_c_scenario,
     brute_force_oracle,
@@ -246,7 +246,7 @@ def main(argv=None):
         if exc.binding_rows:
             print(f"candidate binding (link, time) rows: {exc.binding_rows}", file=sys.stderr)
         return 2
-    except (InputError, OracleSizeError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OracleSizeError, SolverLimitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

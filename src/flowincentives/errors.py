@@ -30,6 +30,19 @@ class InfeasibleModelError(RuntimeError):
         super().__init__(message)
 
 
+class SolverLimitError(RuntimeError):
+    """A solver stopped at one of its limits before finding a feasible point.
+
+    ``limit`` names the limit and ``value`` its setting; raising the limit
+    usually helps.
+    """
+
+    def __init__(self, limit, value):
+        self.limit = limit
+        self.value = value
+        super().__init__(f"stopped at {limit}={value} before finding a feasible point")
+
+
 class DivergenceError(RuntimeError):
     """A splitting iteration produced non-finite values.
 

@@ -95,6 +95,31 @@ def zero_offer_column(routes, menu, od_index):
     return routes.route_of_od[od_index][0] * len(menu)
 
 
+def deal_counts(counts, demand):
+    """Per-driver binary assignment S with column sums equal to ``counts``.
+
+    Each OD pair's drivers, in ascending order, take that pair's columns in
+    ascending order, one column per unit of count. Drivers of one pair are
+    interchangeable, so this is the only place the package builds S from
+    the offer counts its integer programs choose.
+    """
+    u = np.asarray(counts, dtype=float)
+    if (
+        u.shape != (demand.d_matrix.shape[1],)
+        or np.any(u < 0)
+        or np.any(u != np.round(u))
+        or not np.array_equal(demand.d_matrix @ u, demand.q)
+    ):
+        raise InputError("offer counts must be nonnegative integers with D u = q")
+    s_matrix = np.zeros((u.size, demand.num_drivers))
+    driver_to_od = np.asarray(demand.driver_to_od, dtype=int)
+    for k, block in enumerate(demand.d_matrix):
+        cols = np.nonzero(block > 0)[0]
+        drivers = np.nonzero(driver_to_od == k)[0]
+        s_matrix[np.repeat(cols, u[cols].astype(int)), drivers] = 1.0
+    return s_matrix
+
+
 def validate_assignment(s_matrix, columns, costs, budget, atol=1e-9):
     """Check one-offer-per-driver, OD-block support, and the budget row."""
     row_mass = s_matrix.sum(axis=0)

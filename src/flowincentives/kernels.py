@@ -1,10 +1,5 @@
 """Hot numeric kernels: volume-delay prox solves and exhaustive enumeration.
 
-Both kernels ship in two implementations: a numba ``@njit`` version used by
-default and a pure-numpy fallback. Set ``FLOWINCENTIVES_NO_NUMBA=1`` in the
-environment (before import) to force the fallback; ``NUMBA_ENABLED`` reports
-which path is active. ``benchmarks/bench_kernels.py`` compares the two.
-
 The prox kernel solves, independently for every (time, link) row,
 
     minimize over g >= 0:  g * d(g) - lam * g + (rho / 2) * (m - g)^2
@@ -20,21 +15,7 @@ the first, i.e. lexicographically smallest, choice vector.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_env = os.environ.get("FLOWINCENTIVES_NO_NUMBA", "").strip()
-_FORCE_NUMPY = _env not in ("", "0")
-
-NUMBA_ENABLED = False
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        NUMBA_ENABLED = False
 
 DERIVATIVE_TOL = 1e-10
 
@@ -49,10 +30,11 @@ def _gamma_bracket_high(m, lam, rho, active):
     return np.where(active, np.maximum(hi, 1e-12), 1e-12)
 
 
-def gamma_solve_numpy(m, lam, rho, t0, w, tol=DERIVATIVE_TOL):
-    """Vectorized safeguarded Newton for the volume prox, numpy path."""
-    m = np.asarray(m, dtype=float)
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), m.shape).copy()
+def gamma_solve(m, lam, rho, t0, w, tol=DERIVATIVE_TOL):
+    """Vectorized safeguarded Newton for the volume prox, one root per row."""
+    m = np.asarray(m, dtype=float).ravel()
+    rho = float(rho)
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), m.shape)
     t0 = np.broadcast_to(np.asarray(t0, dtype=float), m.shape)
     w = np.broadcast_to(np.asarray(w, dtype=float), m.shape)
     quart = 0.75 * t0 / w**4
@@ -77,7 +59,7 @@ def gamma_solve_numpy(m, lam, rho, t0, w, tol=DERIVATIVE_TOL):
     return g
 
 
-def enumerate_assignments_numpy(
+def _enumerate(
     a_matrix,
     background,
     columns,
@@ -90,7 +72,7 @@ def enumerate_assignments_numpy(
     t0_row,
     w_row,
 ):
-    """Reference enumeration in plain python + numpy; used as fallback."""
+    """Depth-first walk over padded per-driver column lists."""
     n_drivers = columns.shape[0]
     n_rows = a_matrix.shape[0]
     v_stack = np.zeros((n_drivers + 1, n_rows))
@@ -139,124 +121,6 @@ def enumerate_assignments_numpy(
     return best_obj, best, count
 
 
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _gamma_solve_numba(m, lam, rho, t0, w, tol):  # pragma: no cover - jit
-        n = m.shape[0]
-        out = np.zeros(n)
-        for i in range(n):
-            quart = 0.75 * t0[i] / w[i] ** 4
-            d0 = t0[i] - lam[i] - rho * m[i]
-            if d0 >= 0.0:
-                out[i] = 0.0
-                continue
-            lo = 0.0
-            hi = m[i] + lam[i] / rho
-            if hi < 1e-12:
-                hi = 1e-12
-            g = m[i]
-            if g < 1e-12:
-                g = 1e-12
-            if g > hi:
-                g = hi
-            for _ in range(200):
-                d = t0[i] + quart * g**4 - lam[i] + rho * (g - m[i])
-                if abs(d) < tol:
-                    break
-                if d < 0.0:
-                    lo = g
-                else:
-                    hi = g
-                slope = 4.0 * quart * g**3 + rho
-                step = g - d / slope
-                if step <= lo or step >= hi or not np.isfinite(step):
-                    g = 0.5 * (lo + hi)
-                else:
-                    g = step
-            out[i] = g
-        return out
-
-    @njit(cache=True)
-    def _enumerate_numba(
-        a_matrix,
-        background,
-        columns,
-        lengths,
-        costs,
-        budget,
-        objective_kind,
-        free_flow_cost,
-        capacity,
-        has_capacity,
-        t0_row,
-        w_row,
-    ):  # pragma: no cover - jit
-        n_drivers = columns.shape[0]
-        n_rows = a_matrix.shape[0]
-        v_stack = np.zeros((n_drivers + 1, n_rows))
-        for r in range(n_rows):
-            v_stack[0, r] = background[r]
-        cost_stack = np.zeros(n_drivers + 1)
-        lin_stack = np.zeros(n_drivers + 1)
-        pos = np.zeros(n_drivers, dtype=np.int64)
-        best_obj = np.inf
-        best = np.full(n_drivers, -1, dtype=np.int64)
-        count = 0
-        depth = 0
-        while depth >= 0:
-            if pos[depth] >= lengths[depth]:
-                pos[depth] = 0
-                depth -= 1
-                if depth >= 0:
-                    pos[depth] += 1
-                continue
-            col = columns[depth, pos[depth]]
-            new_cost = cost_stack[depth] + costs[col]
-            if new_cost > budget + 1e-9:
-                pos[depth] += 1
-                continue
-            ok = True
-            for r in range(n_rows):
-                v_stack[depth + 1, r] = v_stack[depth, r] + a_matrix[r, col]
-                if has_capacity and v_stack[depth + 1, r] > capacity[r] + 1e-9:
-                    ok = False
-            if not ok:
-                pos[depth] += 1
-                continue
-            cost_stack[depth + 1] = new_cost
-            lin_stack[depth + 1] = lin_stack[depth] + free_flow_cost[col]
-            if depth + 1 == n_drivers:
-                count += 1
-                if objective_kind == OBJECTIVE_FREE_FLOW:
-                    obj = lin_stack[depth + 1]
-                else:
-                    obj = 0.0
-                    for r in range(n_rows):
-                        v = v_stack[depth + 1, r]
-                        ratio = v / w_row[r]
-                        obj += v * t0_row[r] * (1.0 + 0.15 * ratio**4)
-                if obj < best_obj - 1e-15:
-                    best_obj = obj
-                    for k in range(n_drivers):
-                        best[k] = columns[k, pos[k]]
-                pos[depth] += 1
-            else:
-                depth += 1
-        return best_obj, best, count
-
-
-def gamma_solve(m, lam, rho, t0, w, tol=DERIVATIVE_TOL):
-    """Solve the per-row volume prox; dispatches numba/numpy by availability."""
-    m = np.ascontiguousarray(np.asarray(m, dtype=float).ravel())
-    lam = np.ascontiguousarray(np.broadcast_to(np.asarray(lam, dtype=float), m.shape))
-    t0 = np.ascontiguousarray(np.broadcast_to(np.asarray(t0, dtype=float), m.shape))
-    w = np.ascontiguousarray(np.broadcast_to(np.asarray(w, dtype=float), m.shape))
-    if NUMBA_ENABLED:
-        return _gamma_solve_numba(m, lam, float(rho), t0, w, float(tol))
-    return gamma_solve_numpy(m, lam, float(rho), t0, w, tol=float(tol))
-
-
 def enumerate_assignments(
     a_matrix,
     background,
@@ -282,48 +146,27 @@ def enumerate_assignments(
     for k, cols in enumerate(per_driver_columns):
         columns[k, : len(cols)] = cols
         lengths[k] = len(cols)
-    a_matrix = np.ascontiguousarray(a_matrix, dtype=float)
-    background = np.ascontiguousarray(background, dtype=float)
-    costs = np.ascontiguousarray(costs, dtype=float)
+    a_matrix = np.asarray(a_matrix, dtype=float)
+    background = np.asarray(background, dtype=float)
+    costs = np.asarray(costs, dtype=float)
     kind = OBJECTIVE_FREE_FLOW if objective == "free_flow" else OBJECTIVE_BPR
     if free_flow_cost is None:
         free_flow_cost = np.zeros(a_matrix.shape[1])
-    free_flow_cost = np.ascontiguousarray(free_flow_cost, dtype=float)
+    free_flow_cost = np.asarray(free_flow_cost, dtype=float)
     if t0_row is None:
         t0_row = np.ones(a_matrix.shape[0])
     if w_row is None:
         w_row = np.ones(a_matrix.shape[0])
-    t0_row = np.ascontiguousarray(t0_row, dtype=float)
-    w_row = np.ascontiguousarray(w_row, dtype=float)
+    t0_row = np.asarray(t0_row, dtype=float)
+    w_row = np.asarray(w_row, dtype=float)
     if n_drivers == 0:
         base = background
         if kind == OBJECTIVE_FREE_FLOW:
             return 0.0, np.zeros(0, dtype=np.int64), 1
         obj = float(np.sum(base * t0_row * (1.0 + 0.15 * (base / w_row) ** 4)))
         return obj, np.zeros(0, dtype=np.int64), 1
-    if NUMBA_ENABLED:
-        has_cap = capacity is not None
-        cap = (
-            np.ascontiguousarray(capacity, dtype=float)
-            if has_cap
-            else np.zeros(a_matrix.shape[0])
-        )
-        return _enumerate_numba(
-            a_matrix,
-            background,
-            columns,
-            lengths,
-            costs,
-            float(budget),
-            kind,
-            free_flow_cost,
-            cap,
-            has_cap,
-            t0_row,
-            w_row,
-        )
-    cap = np.ascontiguousarray(capacity, dtype=float) if capacity is not None else None
-    return enumerate_assignments_numpy(
+    cap = np.asarray(capacity, dtype=float) if capacity is not None else None
+    return _enumerate(
         a_matrix,
         background,
         columns,

@@ -1,11 +1,13 @@
-"""Desk-scale linear programming and binary branch-and-bound.
+"""Desk-scale linear programming and integer branch-and-bound.
 
 The LP solver is a dense two-phase tableau simplex with Bland's rule, which
 trades speed for guaranteed termination; instances here are small (tens of
 rows and a few hundred columns). The MIP solver runs best-first
-branch-and-bound on LP relaxations, branching on the most fractional binary
-with deterministic tie-breaking, so repeated solves of the same instance
-return the same incumbent.
+branch-and-bound on LP relaxations over general bounded integers (a binary
+is an integer with ub = 1), splitting on floor / ceil of the most
+fractional variable with deterministic tie-breaking, so repeated solves of
+the same instance return the same incumbent. The package's integer
+programs choose per-column offer counts, not per-driver binaries.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class MipResult:
 
     ``optimal`` means the gap closed to zero, ``gap-limit`` that the search
     stopped inside the requested relative gap, ``iteration-limit`` that the
-    node budget ran out; in the last two cases ``x`` is the incumbent.
+    node budget ran out; in the last two cases ``x`` is the incumbent, which
+    is None when the node budget ran out before any integer point was found.
     """
 
     status: str
@@ -215,48 +218,20 @@ def solve_lp(lp):
     return LpResult(status="optimal", x=x, objective=float(lp.c @ x))
 
 
-def _is_feasible(lp, x, tol=1e-6):
-    if np.any(x < lp.lb - tol) or np.any(x > lp.ub + tol):
-        return False
-    if lp.b_ub.size and np.any(lp.a_ub @ x > lp.b_ub + tol):
-        return False
-    if lp.b_eq.size and np.any(np.abs(lp.a_eq @ x - lp.b_eq) > tol):
-        return False
-    return True
+def solve_binary_mip(lp, binary_vars, rel_gap=0.01, node_limit=100_000):
+    """Best-first branch-and-bound over the given integer variables.
 
-
-def solve_binary_mip(
-    lp, binary_vars, rel_gap=0.01, node_limit=100_000, initial_solution=None,
-    capped_by_structure=False,
-):
-    """Best-first branch-and-bound over the given binary variables.
-
-    Branches on the variable closest to one half (lowest index on ties);
-    terminates once (upper - lower) / max(|upper|, eps) <= rel_gap. An
-    optional ``initial_solution`` seeds the incumbent and tightens pruning.
-
-    ``capped_by_structure`` skips the explicit x <= 1 bound on the binaries;
-    callers set it when equality rows already cap them (for example a
-    sum-to-one row over nonnegative variables), which keeps the node LPs
-    much smaller.
+    Each listed variable must take an integer value within its bounds; a
+    binary is an integer with ub = 1. A node whose relaxation leaves x_j
+    fractional splits into x_j <= floor(x_j) and x_j >= ceil(x_j), on the
+    variable whose fractional part is closest to one half (lowest index on
+    ties). Terminates once (upper - lower) / max(|upper|, eps) <= rel_gap.
     """
-    binary_vars = sorted(set(int(j) for j in binary_vars))
+    int_vars = np.array(sorted(set(int(j) for j in binary_vars)), dtype=int)
     if rel_gap < 0:
         raise InputError("rel_gap must be nonnegative")
-    lb0 = lp.lb.copy()
-    ub0 = lp.ub.copy()
-    for j in binary_vars:
-        lb0[j] = max(lb0[j], 0.0)
-        if not capped_by_structure:
-            ub0[j] = min(ub0[j], 1.0)
-
     incumbent = None
     upper = np.inf
-    if initial_solution is not None:
-        x0 = np.asarray(initial_solution, dtype=float)
-        if _is_feasible(lp, x0):
-            incumbent = x0
-            upper = float(lp.c @ x0)
 
     def relative_gap(lower):
         if incumbent is None:
@@ -265,17 +240,20 @@ def solve_binary_mip(
             return 0.0
         return (upper - lower) / max(abs(upper), 1e-12)
 
+    def relax(lb, ub):
+        node = LinearProgram(
+            c=lp.c, a_ub=lp.a_ub, b_ub=lp.b_ub, a_eq=lp.a_eq, b_eq=lp.b_eq, lb=lb, ub=ub
+        )
+        return solve_lp(node)
+
     heap = []
     counter = 0
-    root = LinearProgram(
-        c=lp.c, a_ub=lp.a_ub, b_ub=lp.b_ub, a_eq=lp.a_eq, b_eq=lp.b_eq, lb=lb0, ub=ub0
-    )
-    res = solve_lp(root)
+    res = relax(lp.lb, lp.ub)
     if res.status == "infeasible":
         return MipResult(status="infeasible")
     if res.status == "unbounded":
         raise RuntimeError("relaxation is unbounded; bound the continuous variables")
-    heapq.heappush(heap, (res.objective, counter, lb0, ub0, res.x))
+    heapq.heappush(heap, (res.objective, counter, lp.lb, lp.ub, res.x))
     counter += 1
     nodes = 0
     stopped_by_gap = False
@@ -300,36 +278,28 @@ def solve_binary_mip(
                 gap=relative_gap(lower),
                 nodes=nodes,
             )
-        frac = np.array([abs(x_rel[j] - round(x_rel[j])) for j in binary_vars])
-        if frac.size == 0 or frac.max() <= _INT_TOL:
+        values = x_rel[int_vars]
+        frac = values - np.floor(values)
+        if frac.size == 0 or np.max(np.minimum(frac, 1.0 - frac)) <= _INT_TOL:
             x_int = x_rel.copy()
-            for j in binary_vars:
-                x_int[j] = round(x_int[j])
+            x_int[int_vars] = np.round(values)
             obj = float(lp.c @ x_int)
             if obj < upper - 1e-12:
                 upper = obj
                 incumbent = x_int
             continue
-        # most fractional: closest to 0.5, ties to the lowest index
-        scores = [0.5 - abs(x_rel[j] - 0.5) for j in binary_vars]
-        branch = binary_vars[int(np.argmax(scores))]
-        for fix in (0.0, 1.0):
+        # most fractional: part closest to 0.5, ties to the lowest index
+        pos = int(np.argmax(0.5 - np.abs(frac - 0.5)))
+        branch = int_vars[pos]
+        down, up = np.floor(values[pos]), np.ceil(values[pos])
+        for side in ("down", "up"):
             child_lb = node_lb.copy()
             child_ub = node_ub.copy()
-            if fix == 0.0:
-                child_ub[branch] = 0.0
+            if side == "down":
+                child_ub[branch] = down
             else:
-                child_lb[branch] = 1.0
-            child = LinearProgram(
-                c=lp.c,
-                a_ub=lp.a_ub,
-                b_ub=lp.b_ub,
-                a_eq=lp.a_eq,
-                b_eq=lp.b_eq,
-                lb=child_lb,
-                ub=child_ub,
-            )
-            child_res = solve_lp(child)
+                child_lb[branch] = up
+            child_res = relax(child_lb, child_ub)
             if child_res.status != "optimal":
                 continue
             if child_res.objective >= upper - 1e-9:

@@ -1,11 +1,12 @@
 """Free-flow incentive assignment as a mixed-integer linear program.
 
-Chooses one (route, incentive) offer per eligible driver to minimize the
-expected free-flow travel time, subject to the budget and to per-(time,
-link) expected-volume caps scaled by the multiplier ``alpha``. The
-multiplier exists because heavily congested instances admit no assignment
-under the raw capacities; it applies only inside the optimization, never
-when realized travel time is evaluated afterwards.
+Chooses how many eligible drivers of each OD pair receive each (route,
+incentive) offer, minimizing the expected free-flow travel time subject to
+the budget and to per-(time, link) expected-volume caps scaled by the
+multiplier ``alpha``. The multiplier exists because heavily congested
+instances admit no assignment under the raw capacities; it applies only
+inside the optimization, never when realized travel time is evaluated
+afterwards. The optimal counts are dealt to drivers at the end.
 
 Offer cost is charged per offer made, not per offer accepted.
 """
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleModelError, InputError
+from .errors import InfeasibleModelError, InputError, SolverLimitError
+from .flow import compose_a, deal_counts
 from .lp import LinearProgram, solve_binary_mip
 
 _CAP_TOL = 1e-9
@@ -29,7 +31,6 @@ class Scenario1Config:
     budget: float
     alpha: float = 1.0
     rel_gap: float = 0.01
-    node_limit: int = 200_000
 
     def __post_init__(self):
         if self.budget < 0:
@@ -45,8 +46,7 @@ class Scenario1Model:
     """Built MILP plus the metadata needed to decode and diagnose it."""
 
     lp: LinearProgram
-    binary_indices: list
-    var_index: dict  # (driver, column) -> variable position
+    demand: object  # DemandModel; deals the optimal counts to drivers
     columns: list
     num_links: int
     free_flow_cost: np.ndarray
@@ -66,23 +66,28 @@ class Scenario1Report:
 
 
 def build_scenario1(routes, probabilities, location, demand, net, cfg, background=None, columns=None):
-    """Assemble the MILP: one binary per (eligible driver, offer column).
+    """Assemble the MILP: one integer offer count per (route, incentive) column.
 
-    ``demand`` supplies the eligible drivers; capacity rows cap the expected
-    volume of every (time, link) cell at alpha times the link capacity minus
-    the fixed background volume. The objective coefficient of a column is
-    the expected free-flow time of a driver given that offer: the per-link
-    free-flow times, stacked over the horizon, pushed through A = R P.
+    ``demand`` supplies the eligible drivers; its rows D u = q make each OD
+    pair's counts add up to its driver count. Drivers of one pair are
+    interchangeable, so ``columns`` (each driver's allowed columns) must be
+    that driver's whole OD block. Capacity rows cap the expected volume of
+    every (time, link) cell at alpha times the link capacity minus the fixed
+    background volume. The objective coefficient of a column is the expected
+    free-flow time of a driver given that offer: the per-link free-flow
+    times, stacked over the horizon, pushed through A = R P.
     """
-    from .flow import compose_a  # local import to avoid a module cycle
-
     a_matrix = compose_a(location, probabilities)
     n_rows = a_matrix.shape[0]
     if background is None:
         background = np.zeros(n_rows)
     background = np.asarray(background, dtype=float)
-    if columns is None:
-        columns = [np.nonzero(demand.d_matrix[od] > 0)[0] for od in demand.driver_to_od]
+    blocks = [np.nonzero(demand.d_matrix[od] > 0)[0] for od in demand.driver_to_od]
+    if columns is not None and (
+        len(columns) != len(blocks)
+        or any(not np.array_equal(np.sort(c), b) for c, b in zip(columns, blocks))
+    ):
+        raise InputError("each driver's columns must be its OD pair's whole block")
 
     omega = np.tile(net.free_flow_times, location.horizon)
     free_flow_cost = a_matrix.T @ omega
@@ -90,50 +95,23 @@ def build_scenario1(routes, probabilities, location, demand, net, cfg, backgroun
     n_inc = len(probabilities.menu)
     col_cost = np.array([menu_costs[col % n_inc] for col in range(a_matrix.shape[1])])
 
-    var_index = {}
-    for n, cols in enumerate(columns):
-        for col in cols:
-            var_index[(n, int(col))] = len(var_index)
-    n_vars = len(var_index)
-
-    c_vec = np.zeros(n_vars)
-    budget_row = np.zeros(n_vars)
-    for (n, col), j in var_index.items():
-        c_vec[j] = free_flow_cost[col]
-        budget_row[j] = col_cost[col]
-
-    n_drivers = len(columns)
-    a_eq = np.zeros((n_drivers, n_vars))
-    for (n, col), j in var_index.items():
-        a_eq[n, j] = 1.0
-
     capacity_rhs = cfg.alpha * np.tile(net.capacity_vector, location.horizon) - background
-    ub_rows = [budget_row]
-    ub_rhs = [cfg.budget]
-    for r in range(n_rows):
-        row = np.zeros(n_vars)
-        any_coeff = False
-        for (n, col), j in var_index.items():
-            if a_matrix[r, col] > 0.0:
-                row[j] = a_matrix[r, col]
-                any_coeff = True
-        # all-zero rows only matter when background already busts the cap
-        if any_coeff or capacity_rhs[r] < -_CAP_TOL:
-            ub_rows.append(row)
-            ub_rhs.append(capacity_rhs[r])
-    # per-driver sum-to-one rows cap the binaries; skip explicit x <= 1
+    used = np.zeros(a_matrix.shape[1], dtype=bool)
+    for cols in blocks:
+        used[cols] = True
+    # all-zero rows only matter when background already busts the cap
+    kept = np.any(a_matrix[:, used] > 0.0, axis=1) | (capacity_rhs < -_CAP_TOL)
     lp = LinearProgram(
-        c=c_vec,
-        a_ub=np.array(ub_rows),
-        b_ub=np.array(ub_rhs),
-        a_eq=a_eq,
-        b_eq=np.ones(n_drivers),
+        c=free_flow_cost,
+        a_ub=np.vstack([col_cost, a_matrix[kept]]),
+        b_ub=np.concatenate([[cfg.budget], capacity_rhs[kept]]),
+        a_eq=demand.d_matrix,
+        b_eq=demand.q,
     )
     return Scenario1Model(
         lp=lp,
-        binary_indices=list(range(n_vars)),
-        var_index=var_index,
-        columns=columns,
+        demand=demand,
+        columns=blocks,
         num_links=net.num_links,
         free_flow_cost=free_flow_cost,
         costs=col_cost,
@@ -159,39 +137,34 @@ def candidate_binding_rows(model, a_matrix):
 
 
 def solve_scenario1(model, menu, a_matrix, rel_gap=0.01, node_limit=200_000):
-    """Solve the built MILP and decode the binary offer assignment.
+    """Solve the built MILP and deal the optimal offer counts to drivers.
 
     Raises InfeasibleModelError naming candidate binding capacity rows when
     no assignment fits under the alpha-scaled capacities; callers may retry
-    with a larger alpha.
+    with a larger alpha. Raises SolverLimitError when ``node_limit`` runs
+    out before any assignment is found.
     """
-    res = solve_binary_mip(
-        model.lp, model.binary_indices, rel_gap=rel_gap, node_limit=node_limit,
-        capped_by_structure=True,
-    )
+    n_cols = a_matrix.shape[1]
+    res = solve_binary_mip(model.lp, range(n_cols), rel_gap=rel_gap, node_limit=node_limit)
     if res.status == "infeasible":
         raise InfeasibleModelError(
             "no offer assignment satisfies the scaled capacity rows",
             binding_rows=candidate_binding_rows(model, a_matrix),
         )
-    n_cols = a_matrix.shape[1]
-    n_drivers = len(model.columns)
-    s_mat = np.zeros((n_cols, n_drivers))
-    for (n, col), j in model.var_index.items():
-        s_mat[col, n] = round(res.x[j])
-    if not np.all(s_mat.sum(axis=0) == 1.0):
-        raise AssertionError("scenario-1 solution lost one-offer-per-driver")
-    cost_used = float(model.costs @ s_mat.sum(axis=1))
+    if res.x is None:
+        raise SolverLimitError("node_limit", node_limit)
+    counts = res.x
+    s_mat = deal_counts(counts, model.demand)
+    cost_used = float(model.costs @ counts)
     if cost_used > model.lp.b_ub[0] + 1e-6:
         raise AssertionError("scenario-1 solution exceeds the budget")
     n_inc = len(menu)
     offer_counts = {amount: 0 for amount in menu.amounts}
-    for col in np.nonzero(s_mat.sum(axis=1))[0]:
-        offer_counts[menu.amounts[col % n_inc]] += int(s_mat[col].sum())
-    objective = float(model.free_flow_cost @ s_mat.sum(axis=1))
+    for col in np.nonzero(counts)[0]:
+        offer_counts[menu.amounts[col % n_inc]] += int(counts[col])
     return Scenario1Report(
         assignment=s_mat,
-        objective=objective,
+        objective=float(model.free_flow_cost @ counts),
         cost_used=cost_used,
         offer_counts=offer_counts,
         status=res.status,

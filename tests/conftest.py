@@ -70,3 +70,41 @@ def make_assignment(columns, n_cols, choices):
     for n, col in enumerate(choices):
         s[col, n] = 1.0
     return s
+
+
+def per_driver_incidence(columns, n_cols):
+    """Matrices of a per-driver binary model with one x per (driver, column).
+
+    Returns (onehot, assign): onehot @ x gives the column counts and
+    assign @ x each driver's number of offers. Lets scipy solve the
+    per-driver formulation the package's count-space programs replace.
+    """
+    pairs = [(n, int(c)) for n, cols in enumerate(columns) for c in cols]
+    onehot = np.zeros((n_cols, len(pairs)))
+    assign = np.zeros((len(columns), len(pairs)))
+    for j, (n, c) in enumerate(pairs):
+        onehot[c, j] = 1.0
+        assign[n, j] = 1.0
+    return onehot, assign
+
+
+def scipy_milp_cases(count=6, seed=31):
+    """Frozen (scenario, budget) draws with 8-12 drivers, past the oracle's reach."""
+    from flowincentives.harness import generate_synthetic
+
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        drivers = int(rng.integers(8, 13))
+        richness = int(rng.integers(2, 4))
+        tightness = float(rng.uniform(0.8, 1.5))
+        budget = float(rng.choice([0.0, 4.0, 12.0, 30.0]))
+        scenario = generate_synthetic(
+            nodes=9 if richness == 3 else 8,
+            richness=richness,
+            tightness=tightness,
+            drivers=drivers,
+            seed=300 + i,
+        )
+        cases.append((scenario, budget))
+    return cases

@@ -38,10 +38,19 @@ def project_demand_blocks(y, blocks, q):
 
 
 def project_feasible(y, blocks, q, costs, budget, iters=200):
-    """Exact projection onto the demand simplexes intersected with the budget."""
+    """Exact projection onto the demand simplexes intersected with the budget.
+
+    Raises ValueError when the intersection is empty, i.e. the budget is
+    below the cheapest demand-feasible cost sum_k q_k * min(costs[block_k]).
+    """
     x = project_demand_blocks(y, blocks, q)
     if float(costs @ x) <= budget + 1e-12:
         return x
+    cheapest = sum(qk * float(np.min(costs[cols])) for cols, qk in zip(blocks, q))
+    if budget < cheapest - 1e-12:
+        raise ValueError(
+            f"budget {budget} is below the cheapest demand-feasible cost {cheapest}"
+        )
     # find mu with costs @ P(y - mu c) = budget; usage is nonincreasing in mu
     lo, hi = 0.0, 1.0
     for _ in range(100):

@@ -21,7 +21,8 @@ from flowincentives.admm import (
     u_update,
     w_update,
 )
-from flowincentives.errors import DivergenceError, InputError
+from conftest import per_driver_incidence, scipy_milp_cases
+from flowincentives.errors import DivergenceError, InputError, SolverLimitError
 from flowincentives.harness import generate_synthetic, prepare
 
 
@@ -423,6 +424,21 @@ def test_reference_projection_is_exact():
     assert budget_active[5]
 
 
+def test_reference_projection_rejects_budget_below_cheapest_cost():
+    # one block, costs (1, 3), q = 2: no demand-feasible point costs less
+    # than 2, so budget 1 leaves the feasible set empty
+    from pg_reference import project_feasible
+
+    blocks = [np.arange(2)]
+    q = np.array([2.0])
+    costs = np.array([1.0, 3.0])
+    for y in (np.zeros(2), np.ones(2)):
+        with pytest.raises(ValueError, match="cheapest"):
+            project_feasible(y, blocks, q, costs, 1.0)
+    # at exactly the cheapest cost the feasible set is the single point (2, 0)
+    assert np.allclose(project_feasible(np.ones(2), blocks, q, costs, 2.0), [2.0, 0.0])
+
+
 def test_relaxed_objective_matches_reference_solver():
     from pg_reference import solve_reference
 
@@ -527,3 +543,53 @@ def test_round_assignment_respects_budget_when_u_star_overspends():
     assert float(pipe.costs @ s_hat.sum(axis=1)) <= tight + 1e-9
     assert np.allclose(pipe.demand.d_matrix @ s_hat.sum(axis=1), pipe.demand.q)
     assert np.all(s_hat.sum(axis=0) == 1.0)
+
+
+def test_round_assignment_matches_scipy_per_driver_milp():
+    # count-space rounding at rel_gap=0 against scipy's HiGHS on the
+    # per-driver binary formulation, at sizes the exhaustive search cannot reach
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    rng = np.random.default_rng(5)
+    for scenario, budget in scipy_milp_cases():
+        pipe = prepare(scenario)
+        n_cols = pipe.a_matrix.shape[1]
+        u_star = np.zeros(n_cols)
+        for k, block in enumerate(pipe.demand.d_matrix):
+            cols = np.nonzero(block > 0)[0]
+            u_star[cols] = rng.dirichlet(np.ones(cols.size)) * pipe.demand.q[k]
+        s_hat = round_assignment(u_star, pipe.demand, pipe.costs, budget, rel_gap=0.0)
+        assert np.all(s_hat.sum(axis=0) == 1.0)
+        assert float(pipe.costs @ s_hat.sum(axis=1)) <= budget + 1e-9
+        got = float(np.abs(s_hat.sum(axis=1) - u_star).sum())
+
+        onehot, assign = per_driver_incidence(pipe.columns, n_cols)
+        n_x = onehot.shape[1]
+        eye = np.eye(n_cols)
+        no_e = np.zeros((len(pipe.columns), n_cols))
+        budget_row = np.concatenate([pipe.costs @ onehot, np.zeros(n_cols)])
+        ref = milp(
+            np.concatenate([np.zeros(n_x), np.ones(n_cols)]),
+            constraints=[
+                LinearConstraint(np.hstack([assign, no_e]), 1.0, 1.0),
+                LinearConstraint(budget_row, -np.inf, budget),
+                LinearConstraint(
+                    np.vstack([np.hstack([onehot, -eye]), np.hstack([-onehot, -eye])]),
+                    -np.inf,
+                    np.concatenate([u_star, -u_star]),
+                ),
+            ],
+            integrality=np.concatenate([np.ones(n_x), np.zeros(n_cols)]),
+            bounds=Bounds(0.0, np.concatenate([np.ones(n_x), np.full(n_cols, np.inf)])),
+            options={"mip_rel_gap": 0.0},
+        )
+        assert ref.status == 0
+        assert got == pytest.approx(ref.fun, abs=1e-6)
+
+
+def test_round_assignment_node_limit_without_incumbent_raises():
+    pipe = _rounding_fixture()
+    u_star = np.full(pipe.a_matrix.shape[1], 0.5)
+    with pytest.raises(SolverLimitError) as err:
+        round_assignment(u_star, pipe.demand, pipe.costs, 6.0, node_limit=0)
+    assert err.value.limit == "node_limit"

@@ -1,6 +1,8 @@
 import json
 
+import flowincentives.cli as cli
 from flowincentives.cli import main
+from flowincentives.errors import SolverLimitError
 
 
 def test_generate_preset_and_solve(tmp_path, capsys):
@@ -95,3 +97,17 @@ def test_infeasible_exit_code(tmp_path):
 
 def test_error_exit_code(tmp_path):
     assert main(["solve", str(tmp_path / "missing.json"), "--model", "linear"]) == 1
+
+
+def test_solver_limit_exit_code(tmp_path, capsys, monkeypatch):
+    def stopped(*args, **kwargs):
+        raise SolverLimitError("node_limit", 0)
+
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--preset", "appendix-c", "--out", str(scenario)])
+    monkeypatch.setattr(cli, "run_experiment", stopped)
+    capsys.readouterr()
+    code = main(["solve", str(scenario), "--model", "linear", "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: stopped at node_limit=0 before finding a feasible point"]

@@ -4,9 +4,11 @@ import pytest
 from conftest import total_travel_time_loop
 from flowincentives.errors import DomainError, InputError
 from flowincentives.flow import (
+    DemandModel,
     build_demand_model,
     build_location_matrix,
     compose_a,
+    deal_counts,
     expected_volume,
     scenario1_expected_volume,
     total_travel_time,
@@ -283,3 +285,27 @@ def test_validate_assignment_contract(appendix_c_pipe):
     outside[0, 0] = 1.0
     with pytest.raises(InputError):
         validate_assignment(outside, [np.array([2, 3])], pipe.costs, budget=10.0)
+
+
+def test_deal_counts_deals_ascending():
+    # two OD pairs, drivers interleaved: each pair's drivers in ascending
+    # order take its columns in ascending order
+    demand = DemandModel(
+        q=np.array([3.0, 2.0]),
+        d_matrix=np.array([[1.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 1.0]]),
+        driver_to_od=(0, 1, 0, 0, 1),
+    )
+    s = deal_counts(np.array([1, 0, 2, 0, 2]), demand)
+    expected = np.zeros((5, 5))
+    for col, driver in ((0, 0), (2, 2), (2, 3), (4, 1), (4, 4)):
+        expected[col, driver] = 1.0
+    assert np.array_equal(s, expected)
+
+
+def test_deal_counts_rejects_bad_counts():
+    demand = DemandModel(
+        q=np.array([2.0]), d_matrix=np.ones((1, 3)), driver_to_od=(0, 0)
+    )
+    for counts in ([3, -1, 0], [1, 0, 0], [1.5, 0.5, 0], [1, 1]):
+        with pytest.raises(InputError):
+            deal_counts(np.array(counts, dtype=float), demand)

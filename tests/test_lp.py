@@ -123,6 +123,29 @@ def test_knapsack_matches_enumeration():
         assert res.gap <= 1e-9
 
 
+def test_bounded_integer_knapsack_matches_enumeration():
+    # general integers with ub in {2, 3}: branching must use floor / ceil,
+    # not a 0 / 1 split
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        n = 5
+        value = rng.uniform(1.0, 10.0, n)
+        weight = rng.uniform(1.0, 5.0, n)
+        ub = rng.choice([2.0, 3.0], size=n)
+        cap = float(weight @ ub * rng.uniform(0.3, 0.7))
+        lp = LinearProgram(c=-value, a_ub=[weight], b_ub=[cap], ub=ub)
+        res = solve_binary_mip(lp, range(n), rel_gap=0.0)
+        best = min(
+            -value @ np.array(x)
+            for x in itertools.product(*[range(int(u) + 1) for u in ub])
+            if weight @ np.array(x) <= cap + 1e-9
+        )
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(best, abs=1e-9)
+        assert np.array_equal(res.x, np.round(res.x))
+        assert np.all(res.x <= ub)
+
+
 def test_integral_relaxation_no_branching():
     # assignment-polytope LP relaxation is already integral
     lp = LinearProgram(
@@ -183,6 +206,13 @@ def test_gap_limit_status_reports_gap():
     assert res.gap <= 0.25
 
 
+def test_node_limit_zero_returns_no_incumbent():
+    lp = LinearProgram(c=[-1.0, -1.0], a_ub=[[2.0, 2.0]], b_ub=[3.0], ub=np.ones(2))
+    res = solve_binary_mip(lp, [0, 1], rel_gap=0.0, node_limit=0)
+    assert res.status == "iteration-limit"
+    assert res.x is None
+
+
 def test_iteration_limit_returns_incumbent():
     rng = np.random.default_rng(7)
     n = 12
@@ -202,15 +232,3 @@ def test_dump_lp_round_trips_the_rows():
     assert "ub0: 2*x0 + 1*x1 <= 3" in text
     assert "eq0: 1*x0 + 1*x1 = 1" in text
     assert "x0>=0" in text
-
-
-def test_initial_solution_tightens_search():
-    lp = LinearProgram(
-        c=[-5.0, -4.0, -3.0],
-        a_ub=[[2.0, 3.0, 1.0]],
-        b_ub=[5.0],
-        ub=np.ones(3),
-    )
-    res = solve_binary_mip(lp, [0, 1, 2], rel_gap=0.0, initial_solution=np.array([1.0, 1.0, 0.0]))
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-9.0)

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import per_driver_incidence, scipy_milp_cases
 from flowincentives.choice import IncentiveMenu
-from flowincentives.errors import InfeasibleModelError, InputError
+from flowincentives.errors import InfeasibleModelError, InputError, SolverLimitError
 from flowincentives.harness import (
     Scenario,
     brute_force_oracle,
@@ -53,6 +54,23 @@ def test_config_validation():
         Scenario1Config(budget=-1.0)
     with pytest.raises(InputError):
         Scenario1Config(budget=0.0, alpha=-0.5)
+
+
+def test_rejects_columns_narrower_than_the_od_block(appendix_c):
+    # the count-space model cannot restrict one driver of a pair
+    pipe = prepare(appendix_c)
+    narrowed = [pipe.columns[0][:-1], pipe.columns[1]]
+    with pytest.raises(InputError):
+        build_scenario1(
+            pipe.routes,
+            pipe.probabilities,
+            pipe.location,
+            pipe.demand,
+            appendix_c.net,
+            Scenario1Config(budget=5.0),
+            background=pipe.background,
+            columns=narrowed,
+        )
 
 
 def test_zero_budget_keeps_everyone_on_free_offer(appendix_c):
@@ -169,3 +187,56 @@ def test_oracle_objective_agreement_with_harness_oracle():
     result = brute_force_oracle(scenario, budget=12.0, objective="free_flow", alpha=4.0, pipe=pipe)
     inline = enumerate_free_flow(pipe, budget=12.0, alpha=4.0)
     assert result.objective == pytest.approx(inline, abs=1e-9)
+
+
+def test_count_space_matches_scipy_per_driver_milp():
+    # the count-space MILP at rel_gap=0 against scipy's HiGHS on the
+    # per-driver binary formulation, at sizes the oracle cannot enumerate
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    alpha = 1.5
+    for scenario, budget in scipy_milp_cases():
+        pipe = prepare(scenario)
+        onehot, assign = per_driver_incidence(pipe.columns, pipe.a_matrix.shape[1])
+        ref = milp(
+            pipe.free_flow_cost @ onehot,
+            constraints=[
+                LinearConstraint(assign, 1.0, 1.0),
+                LinearConstraint(pipe.costs @ onehot, -np.inf, budget),
+                LinearConstraint(
+                    pipe.a_matrix @ onehot, -np.inf, alpha * pipe.w_row - pipe.background
+                ),
+            ],
+            integrality=np.ones(onehot.shape[1]),
+            bounds=Bounds(0.0, 1.0),
+            options={"mip_rel_gap": 0.0},
+        )
+        assert ref.status in (0, 2)  # optimal or infeasible
+        if ref.status == 2:
+            with pytest.raises(InfeasibleModelError):
+                solve_pipe(pipe, budget=budget, alpha=alpha)
+            continue
+        _, report = solve_pipe(pipe, budget=budget, alpha=alpha)
+        assert report.status == "optimal"
+        assert report.objective == pytest.approx(ref.fun, abs=1e-6)
+
+
+def test_node_limit_without_incumbent_raises():
+    # the README generator at 6 drivers needs alpha = 2 to be feasible
+    scenario = generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7)
+    pipe = prepare(scenario)
+    cfg = Scenario1Config(budget=100.0, alpha=2.0)
+    model = build_scenario1(
+        pipe.routes,
+        pipe.probabilities,
+        pipe.location,
+        pipe.demand,
+        scenario.net,
+        cfg,
+        background=pipe.background,
+        columns=pipe.columns,
+    )
+    with pytest.raises(SolverLimitError) as err:
+        solve_scenario1(model, scenario.menu, pipe.a_matrix, node_limit=0)
+    assert err.value.limit == "node_limit"
+    assert "node_limit=0" in str(err.value)

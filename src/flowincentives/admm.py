@@ -15,6 +15,11 @@ permuted each sweep. Seven dual vectors track the seven coupling
 constraints; each dual ascent step adds rho times its residual exactly,
 which the test suite asserts.
 
+Each sweep overwrites the state's S, W, H, lam5 and lam7 arrays in place
+rather than allocating new ones. A caller that keeps an iterate across
+sweeps must copy it; ``AdmmResult.u`` and ``AdmmResult.s_relaxed`` already
+are copies.
+
 The update formulas come from differentiating the augmented Lagrangian
 directly. In the u step the budget terms enter as
 (-lam6 - rho * beta + rho * budget) * c; dropping rho on the beta and
@@ -222,33 +227,54 @@ def u_update(state, problem, rho, u_factor):
     return u_factor @ rhs
 
 
-def w_update(s_mat, lam2, lam7, rho):
-    """Closed form for the column-sum copy; rank-one inverse applied in place."""
+def w_update(s_mat, lam2, lam7, rho, out=None):
+    """Closed form for the column-sum copy; rank-one inverse applied in place.
+
+    Evaluates 1 + S - (lam7 + lam2) / rho minus its column sums over m + 1,
+    written into ``out`` when given (which must not be ``s_mat``), else into
+    a new array.
+    """
     m = s_mat.shape[0]
-    g = 1.0 + s_mat - (lam7 + lam2[None, :]) / rho
-    return g - g.sum(axis=0, keepdims=True) / (m + 1.0)
+    g = np.add(lam7, lam2[None, :], out=out)
+    g /= rho
+    np.subtract(1.0 + s_mat, g, out=g)
+    g -= g.sum(axis=0, keepdims=True) / (m + 1.0)
+    return g
 
 
-def h_update(s_mat, lam5, rho, lambda_reg):
+def h_update(s_mat, lam5, rho, lambda_reg, out=None):
     """Box projection when rho > lambda_reg, nearest-binary snap otherwise.
 
-    Ties at one half snap to 1.
+    Ties at one half snap to 1. Written into ``out`` when given (which must
+    not be ``s_mat``), else into a new array.
     """
-    x = (rho * s_mat - lam5 - lambda_reg / 2.0) / (rho - lambda_reg)
+    x = np.multiply(s_mat, rho, out=out)
+    x -= lam5
+    x -= lambda_reg / 2.0
+    x /= rho - lambda_reg
     if rho > lambda_reg:
-        return np.clip(x, 0.0, 1.0)
-    return np.where(x >= 0.5, 1.0, 0.0)
+        return np.clip(x, 0.0, 1.0, out=x)
+    np.copyto(x, x >= 0.5)
+    return x
 
 
-def s_update(u, h_mat, w_mat, lam1, lam5, lam7, rho):
+def s_update(u, h_mat, w_mat, lam1, lam5, lam7, rho, out=None):
     """Assignment update via the rank-one inverse of (rho 1 1^T + 2 rho I).
 
-    Columns decouple given one shared row-sum reduction, so the work is a
-    single dense expression.
+    Columns decouple given one shared row-sum reduction, so the work is one
+    dense expression, u + (lam5 + lam7 - lam1) / rho + H + W, less its row
+    sums over n + 2, halved. Reads no S, so ``out`` may be the current S.
     """
     n = h_mat.shape[1]
-    g = u[:, None] + (lam5 + lam7 - lam1[:, None]) / rho + h_mat + w_mat
-    return (g - g.sum(axis=1, keepdims=True) / (n + 2.0)) / 2.0
+    g = np.add(lam5, lam7, out=out)
+    g -= lam1[:, None]
+    g /= rho
+    g += u[:, None]
+    g += h_mat
+    g += w_mat
+    g -= g.sum(axis=1, keepdims=True) / (n + 2.0)
+    g /= 2.0
+    return g
 
 
 def gamma_subproblem(a_u, lam4, rho, t0, w):
@@ -267,29 +293,37 @@ def beta_update(u, lam6, rho, costs, budget):
     return max(0.0, budget - float(costs @ u) - lam6 / rho)
 
 
-def residual_vectors(state, problem):
-    """The seven coupling residuals at the state's current primal values."""
+def _volume(u, problem):
+    return problem.a_matrix @ u + problem.background
+
+
+def residual_vectors(state, problem, volume=None):
+    """The seven coupling residuals at the state's current primal values.
+
+    ``volume`` is A u + bg at the state's u, computed here when not given.
+    """
     p = problem
+    if volume is None:
+        volume = _volume(state.u, p)
     return (
         state.s_mat.sum(axis=1) - state.u,
         state.w_mat.sum(axis=0) - 1.0,
         p.d_matrix @ state.u - p.q,
-        p.a_matrix @ state.u + p.background - state.gamma,
+        volume - state.gamma,
         state.h_mat - state.s_mat,
         np.array([float(p.costs @ state.u) + state.beta - p.budget]),
         state.w_mat - state.s_mat,
     )
 
 
-def residual_norms(state, problem):
-    return np.array([np.linalg.norm(r) for r in residual_vectors(state, problem)])
+def _bpr_total(volume, problem):
+    v = np.maximum(volume, 0.0)
+    return float(np.sum(v * problem.t0_row * (1.0 + 0.15 * (v / problem.w_row) ** 4)))
 
 
 def relaxed_objective(u, problem):
     """Total travel time of the expected volumes implied by offer mass u."""
-    v = problem.a_matrix @ u + problem.background
-    v = np.maximum(v, 0.0)
-    return float(np.sum(v * problem.t0_row * (1.0 + 0.15 * (v / problem.w_row) ** 4)))
+    return _bpr_total(_volume(u, problem), problem)
 
 
 def _check_finite(state, iteration):
@@ -311,38 +345,52 @@ def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
     Block 0 updates {u, W, H}; block 1 updates {S, gamma, beta}. Every
     update reads the most recent values of the other variables. Appends the
     seven residual norms and the relaxed objective to the state's history.
+    S, W, H, lam5 and lam7 are overwritten in place; the only S-sized
+    temporaries are the H - S and W - S residuals and one in the W step.
     """
     if u_factor is None:
         u_factor = build_u_factor(problem)
     rho = cfg.rho
     p = problem
+    volume = None  # A u + bg at the current u, once block 1 has computed it
     for block in order:
         if block == 0:
             state.u = u_update(state, p, rho, u_factor)
-            state.w_mat = w_update(state.s_mat, state.lam2, state.lam7, rho)
-            state.h_mat = h_update(state.s_mat, state.lam5, rho, cfg.lambda_reg)
+            w_update(state.s_mat, state.lam2, state.lam7, rho, out=state.w_mat)
+            h_update(state.s_mat, state.lam5, rho, cfg.lambda_reg, out=state.h_mat)
+            volume = None
         else:
-            state.s_mat = s_update(
-                state.u, state.h_mat, state.w_mat, state.lam1, state.lam5, state.lam7, rho
+            s_update(
+                state.u, state.h_mat, state.w_mat, state.lam1, state.lam5, state.lam7, rho,
+                out=state.s_mat,
             )
-            target = p.a_matrix @ state.u + p.background
-            state.gamma = gamma_subproblem(target, state.lam4, rho, p.t0_row, p.w_row)
+            volume = _volume(state.u, p)
+            state.gamma = gamma_subproblem(volume, state.lam4, rho, p.t0_row, p.w_row)
             state.beta = beta_update(state.u, state.lam6, rho, p.costs, p.budget)
-    _check_finite(state, state.iteration)
+    if volume is None:
+        volume = _volume(state.u, p)
 
-    r1, r2, r3, r4, r5, r6, r7 = residual_vectors(state, p)
+    residuals = residual_vectors(state, p, volume)
+    # the norms read every block (each feeds some residual linearly), so a
+    # NaN or inf anywhere shows up here; name the block before duals move
+    norms = np.array([np.sqrt(r.ravel().dot(r.ravel())) for r in residuals])
+    if not np.isfinite(norms).all():
+        _check_finite(state, state.iteration)
+
+    r1, r2, r3, r4, r5, r6, r7 = residuals
     state.lam1 = state.lam1 + rho * r1
     state.lam2 = state.lam2 + rho * r2
     state.lam3 = state.lam3 + rho * r3
     state.lam4 = state.lam4 + rho * r4
-    state.lam5 = state.lam5 + rho * r5
+    r5 *= rho
+    state.lam5 += r5
     state.lam6 = state.lam6 + rho * float(r6[0])
-    state.lam7 = state.lam7 + rho * r7
+    r7 *= rho
+    state.lam7 += r7
 
     state.iteration += 1
-    norms = np.array([np.linalg.norm(r) for r in (r1, r2, r3, r4, r5, r6, r7)])
     state.residual_history.append(norms)
-    state.objective_history.append(relaxed_objective(state.u, p))
+    state.objective_history.append(_bpr_total(volume, p))
     return state
 
 

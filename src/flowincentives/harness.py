@@ -551,7 +551,10 @@ def solve_admm_model(
     round_gap=0.0,
     restarts=None,
 ):
-    """Relaxation plus rounding; returns (binary S, selected run, diagnostics).
+    """Relaxation plus rounding; returns (binary S, selected run, runs).
+
+    ``runs`` has one (realized travel time, iterations, converged) triple
+    per restart, in ladder order.
 
     With the binary-forcing regularizer on, the problem is nonconvex and a
     single run can settle on a poor locally-binary point, so the solver runs
@@ -581,7 +584,7 @@ def solve_admm_model(
     for k in range(restarts - 1):
         ladder.append((alt_rho, seed + 1000 * k, 0.05))
     best = None
-    scores = []
+    runs = []
     for run_rho, run_seed, jitter in ladder:
         cfg = AdmmConfig(
             rho=run_rho,
@@ -594,11 +597,11 @@ def solve_admm_model(
         result = run_admm(problem, cfg)
         s_mat = round_assignment(result.u, pipe.demand, pipe.costs, budget, rel_gap=round_gap)
         realized = realized_travel_time(pipe, s_mat)
-        scores.append(realized)
+        runs.append((realized, result.iterations, result.converged))
         if best is None or realized < best[0] - 1e-12:
             best = (realized, s_mat, result)
     _, s_mat, result = best
-    return s_mat, result, scores
+    return s_mat, result, runs
 
 
 def run_experiment(
@@ -646,7 +649,7 @@ def run_experiment(
             }
         )
     elif model == "admm":
-        s_mat, result, restart_scores = solve_admm_model(
+        s_mat, result, runs = solve_admm_model(
             pipe,
             budget,
             rho=rho,
@@ -663,7 +666,9 @@ def run_experiment(
                 "converged": result.converged,
                 "final_residuals": [float(v) for v in result.residuals[-1]],
                 "relaxed_objective": float(result.objectives[-1]),
-                "restart_objectives": [float(v) for v in restart_scores],
+                "restart_objectives": [float(v) for v, _, _ in runs],
+                "restart_iterations": [int(n) for _, n, _ in runs],
+                "restart_converged": [bool(c) for _, _, c in runs],
             }
         )
         extra["residual_trace"] = result

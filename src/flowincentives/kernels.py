@@ -7,6 +7,9 @@ The prox kernel solves, independently for every (time, link) row,
 with d the BPR delay t0 * (1 + 0.15 (g/w)^4). The derivative
 t0 + 0.75 t0 g^4 / w^4 - lam + rho (g - m) is strictly increasing, so a
 safeguarded Newton iteration with a bisection bracket always converges.
+Rows whose derivative at 0 is already nonnegative have their root at 0;
+they are dropped before the Newton loop, which runs on the compressed
+remaining rows only and scatters its roots back at the end.
 
 The enumeration kernel walks every per-driver offer combination within a
 budget (and optional capacity bound), tracking the best objective; ties keep
@@ -23,11 +26,10 @@ OBJECTIVE_BPR = 0
 OBJECTIVE_FREE_FLOW = 1
 
 
-def _gamma_bracket_high(m, lam, rho, active):
+def _gamma_bracket_high(m, lam, rho):
     # derivative at m + lam/rho is t0 * (1 + 0.15 (g/w)^4) > 0, so the root
     # lies in (0, m + lam/rho] wherever the derivative at 0 is negative
-    hi = m + lam / rho
-    return np.where(active, np.maximum(hi, 1e-12), 1e-12)
+    return np.maximum(m + lam / rho, 1e-12)
 
 
 def gamma_solve(m, lam, rho, t0, w, tol=DERIVATIVE_TOL):
@@ -38,25 +40,26 @@ def gamma_solve(m, lam, rho, t0, w, tol=DERIVATIVE_TOL):
     t0 = np.broadcast_to(np.asarray(t0, dtype=float), m.shape)
     w = np.broadcast_to(np.asarray(w, dtype=float), m.shape)
     quart = 0.75 * t0 / w**4
-
-    def deriv(g):
-        return t0 + quart * g**4 - lam + rho * (g - m)
-
-    active = deriv(np.zeros_like(m)) < 0.0
+    roots = np.zeros_like(m)
+    # only rows with a negative derivative at 0 have a positive root
+    active = t0 + quart * roots**4 - lam + rho * (roots - m) < 0.0
+    m, lam, t0, quart = m[active], lam[active], t0[active], quart[active]
+    quart4 = 4.0 * quart
     lo = np.zeros_like(m)
-    hi = _gamma_bracket_high(m, lam, rho, active)
-    g = np.where(active, np.clip(m, 1e-12, hi), 0.0)
+    hi = _gamma_bracket_high(m, lam, rho)
+    g = np.clip(m, 1e-12, hi)
     for _ in range(200):
-        d = np.where(active, deriv(g), 0.0)
-        if np.all(np.abs(d) < tol):
+        d = t0 + quart * g**4 - lam + rho * (g - m)
+        if np.abs(d).max(initial=0.0) < tol:
             break
-        lo = np.where(d < 0.0, g, lo)
-        hi = np.where(d > 0.0, g, hi)
-        slope = 4.0 * quart * g**3 + rho
-        step = g - d / slope
-        outside = (step <= lo) | (step >= hi) | ~np.isfinite(step)
-        g = np.where(active, np.where(outside, 0.5 * (lo + hi), step), 0.0)
-    return g
+        np.copyto(lo, g, where=d < 0.0)
+        np.copyto(hi, g, where=d > 0.0)
+        step = g - d / (quart4 * g**3 + rho)
+        # false for NaN and +-inf steps too, which then bisect
+        inside = (step > lo) & (step < hi)
+        g = np.where(inside, step, 0.5 * (lo + hi))
+    roots[active] = g
+    return roots
 
 
 def _enumerate(

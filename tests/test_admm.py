@@ -1,5 +1,6 @@
 import copy
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from flowincentives.admm import (
     u_update,
     w_update,
 )
+import admm_reference
 from conftest import per_driver_incidence, scipy_milp_cases
 from flowincentives.errors import DivergenceError, InputError, SolverLimitError
 from flowincentives.harness import generate_synthetic, prepare
+from flowincentives.kernels import gamma_solve
 
 
 def small_problem(budget=4.0, seed=42, n_drivers=4):
@@ -473,6 +476,130 @@ def test_u_fixed_point_at_convergence():
     factor = build_u_factor(problem)
     u_again = u_update(res.state, problem, cfg.rho, factor)
     assert np.max(np.abs(u_again - res.state.u)) < 1e-6
+
+
+def readme_problem():
+    """The README generator at 6 drivers (seed 7) with budget 100."""
+    pipe = prepare(generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7))
+    return AdmmProblem(
+        a_matrix=pipe.a_matrix,
+        d_matrix=pipe.demand.d_matrix,
+        costs=pipe.costs,
+        q=pipe.demand.q,
+        budget=100.0,
+        t0_row=pipe.t0_row,
+        w_row=pipe.w_row,
+        columns=pipe.columns,
+        background=pipe.background,
+    )
+
+
+STATE_ARRAYS = (
+    "u", "s_mat", "w_mat", "h_mat", "gamma", "beta",
+    "lam1", "lam2", "lam3", "lam4", "lam5", "lam6", "lam7",
+)
+
+
+@pytest.mark.parametrize("make_problem", [small_problem, readme_problem])
+@pytest.mark.parametrize("rho, lambda_reg", [(1.0, 0.5), (0.3, 0.5)])
+@pytest.mark.parametrize("orders", ["block 0 first", "block 1 first", "permuted"])
+def test_sweep_is_bit_identical_to_frozen_reference(make_problem, rho, lambda_reg, orders):
+    # the in-place sweep against the frozen allocating sweep: every float of
+    # every iterate and both histories, over 200 sweeps, in the box
+    # (rho > lambda_reg) and snap (rho < lambda_reg) branches of the H step
+    problem = make_problem()
+    cfg = AdmmConfig(rho=rho, lambda_reg=lambda_reg)
+    factor = build_u_factor(problem)
+    state = initial_state(problem, jitter=0.05, seed=3)
+    ref = copy.deepcopy(state)
+    rng = np.random.default_rng(4)
+    fixed = {"block 0 first": (0, 1), "block 1 first": (1, 0)}
+    for _ in range(200):
+        order = fixed.get(orders) or tuple(rng.permutation(2))
+        admm_iterate(state, problem, cfg, factor, order)
+        admm_reference.sweep(ref, problem, rho, lambda_reg, factor, order)
+    for name in STATE_ARRAYS:
+        assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+    assert state.iteration == ref.iteration == 200
+    assert np.array_equal(state.residual_history, ref.residual_history)
+    assert np.array_equal(state.objective_history, ref.objective_history)
+
+
+def test_gamma_solve_is_bit_identical_to_frozen_reference():
+    rng = np.random.default_rng(23)
+    for n in (1, 7, 64, 333):
+        m = rng.uniform(-2.0, 30.0, n)
+        lam = rng.normal(0.0, 2.0, n)
+        t0 = rng.uniform(0.02, 0.5, n)
+        w = rng.uniform(0.3, 20.0, n)
+        rho = float(rng.uniform(0.2, 3.0))
+        cases = [
+            (m, lam, rho, t0, w),
+            (m, float(lam[0]), rho, float(t0[0]), float(w[0])),  # broadcast scalars
+            (float(m[-1]), lam[-1:], rho, t0[-1:], w[-1:]),  # scalar m
+            (-np.abs(m), np.zeros(n), rho, t0, w),  # every row inactive, root 0
+        ]
+        for args in cases:
+            got = gamma_solve(*args)
+            want = admm_reference.gamma_solve(*args)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_sweep_allocates_at_most_two_assignment_sized_arrays(order):
+    # 120 columns (10 OD pairs of 12), 200 drivers: S is 120 x 200. The
+    # blocks and the two S-sized dual updates write into the state's own
+    # arrays, so the peak above the baseline is the H - S and W - S residuals
+    rng = np.random.default_rng(9)
+    n_pairs, per_pair, n_drivers, rows = 10, 12, 200, 30
+    n_cols = n_pairs * per_pair
+    d = np.kron(np.eye(n_pairs), np.ones(per_pair))
+    problem = AdmmProblem(
+        a_matrix=rng.uniform(0.0, 0.2, size=(rows, n_cols)),
+        d_matrix=d,
+        costs=np.tile(np.linspace(0.0, 5.0, per_pair), n_pairs),
+        q=np.full(n_pairs, n_drivers / n_pairs),
+        budget=200.0,
+        t0_row=rng.uniform(0.05, 0.2, rows),
+        w_row=rng.uniform(1.0, 5.0, rows),
+        columns=[np.nonzero(d[n % n_pairs])[0] for n in range(n_drivers)],
+    )
+    cfg = AdmmConfig(rho=1.0, lambda_reg=0.5)
+    factor = build_u_factor(problem)
+    state = initial_state(problem)
+    for _ in range(3):
+        admm_iterate(state, problem, cfg, factor, order)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        admm_iterate(state, problem, cfg, factor, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.s_mat.shape == (n_cols, n_drivers)
+    assert peak - base <= 2.5 * state.s_mat.nbytes
+
+
+def test_sweep_names_the_diverged_block_before_duals_move():
+    # the finite check runs only when a residual norm is not finite; an inf
+    # in lam4 reaches gamma alone, which the volume residual must catch
+    problem = small_problem()
+    cfg = AdmmConfig(rho=1.0, lambda_reg=0.5)
+    factor = build_u_factor(problem)
+    state = initial_state(problem)
+    for _ in range(3):
+        admm_iterate(state, problem, cfg, factor, (0, 1))
+    state.lam4[0] = np.inf
+    before = copy.deepcopy(state)
+    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+        admm_iterate(state, problem, cfg, factor, (1,))
+    assert (err.value.block, err.value.iteration) == ("gamma", 3)
+    assert not np.isfinite(state.gamma).all()
+    for name in ("lam1", "lam2", "lam3", "lam4", "lam5", "lam6", "lam7"):
+        assert np.array_equal(getattr(state, name), getattr(before, name)), name
+    assert len(state.residual_history) == 3
 
 
 def test_divergence_reported_with_block_name():

@@ -1,8 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from flowincentives import harness
 from flowincentives.errors import InputError, OracleSizeError
 from flowincentives.harness import (
     appendix_c_scenario,
@@ -17,6 +19,7 @@ from flowincentives.harness import (
     scenario_to_json,
     select_cohort,
     sweep,
+    write_report_json,
     write_reports_csv,
 )
 
@@ -206,6 +209,31 @@ def test_reports_reproducible():
         outcome = run_experiment(scenario, "admm", budget=6.0, max_iters=800, tol=1e-4)
         rows.append(report_csv_row(outcome.report))
     assert rows[0] == rows[1]
+
+
+def test_report_lists_every_restart_convergence(monkeypatch, tmp_path):
+    # at 500 iterations the three-run ladder on the appendix-C preset mixes
+    # converged and stopped runs; each must be reported, not only the winner
+    results = []
+    original = harness.run_admm
+
+    def recording_run_admm(problem, cfg=None):
+        results.append(original(problem, cfg))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "run_admm", recording_run_admm)
+    outcome = run_experiment(appendix_c_scenario(), "admm", budget=10.0, max_iters=500, restarts=3)
+    extra = outcome.report.extra
+    assert len(results) == 3
+    assert extra["restart_iterations"] == [r.iterations for r in results]
+    assert extra["restart_converged"] == [r.converged for r in results]
+    assert set(extra["restart_converged"]) == {False, True}
+    assert len(extra["restart_objectives"]) == 3
+    path = tmp_path / "report.json"
+    write_report_json(outcome.report, path)
+    saved = json.loads(path.read_text())["extra"]
+    assert saved["restart_iterations"] == extra["restart_iterations"]
+    assert saved["restart_converged"] == extra["restart_converged"]
 
 
 def test_sweep_rows_and_csv(tmp_path):

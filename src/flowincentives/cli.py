@@ -6,7 +6,9 @@ residuals.csv), ``sweep`` (budget x penetration grid into one report.csv),
 ``oracle`` (exhaustive reference optimum), ``report`` (render a saved
 report.json as a table / CSV).
 
-Exit codes: 0 success, 2 infeasible model, 1 any other error.
+Exit codes: 0 success, 2 infeasible model, 1 any other error. A splitting
+solver run that stops at ``--max-iters`` unconverged still exits 0, after
+one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 
 from .errors import InfeasibleModelError, InputError, OracleSizeError, SolverLimitError
 from .harness import (
+    ORACLE_LIMIT,
     appendix_c_scenario,
     brute_force_oracle,
     generate_synthetic,
@@ -67,6 +70,19 @@ def _solver_kwargs(args):
     )
 
 
+def _warn_unconverged(report):
+    """One stderr line when the selected splitting-solver run hit max_iters."""
+    extra = report.extra
+    if extra.get("converged", True):
+        return
+    print(
+        f"warning: admm run at budget {report.budget:g}, penetration {report.penetration_rate:g} "
+        f"did not converge in {extra['iterations']} iterations "
+        f"(largest final residual {max(extra['final_residuals']):.3g})",
+        file=sys.stderr,
+    )
+
+
 def cmd_generate(args):
     if args.preset == "appendix-c":
         scenario = appendix_c_scenario()
@@ -101,6 +117,7 @@ def cmd_solve(args):
     if outcome.admm_result is not None:
         write_residuals_csv(outcome.admm_result, os.path.join(args.out_dir, "residuals.csv"))
     r = outcome.report
+    _warn_unconverged(r)
     print(
         f"{r.model}: baseline {r.baseline_tt_hours:.4f} h -> {r.achieved_tt_hours:.4f} h "
         f"({r.pct_reduction:+.2f}%), cost ${r.cost_used:.2f} of ${r.budget:.2f}"
@@ -124,6 +141,8 @@ def cmd_sweep(args):
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "report.csv")
     write_reports_csv(reports, path)
+    for report in reports:
+        _warn_unconverged(report)
     print(f"wrote {len(reports)} rows to {path}")
     return 0
 
@@ -226,7 +245,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--penetration", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--limit", type=float, default=10_000_000)
+    p.add_argument("--limit", type=float, default=ORACLE_LIMIT)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("report", help="print a saved report.json")

@@ -66,5 +66,5 @@ class OracleSizeError(RuntimeError):
         self.estimate = estimate
         self.limit = limit
         super().__init__(
-            f"enumeration would visit ~{estimate:.3g} assignments (limit {limit:.3g})"
+            f"enumeration would visit ~{estimate:.3g} count vectors (limit {limit:.3g})"
         )

@@ -13,6 +13,7 @@ whatever capacity multiplier the linear model used internally.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ from .flow import (
     build_demand_model,
     build_location_matrix,
     compose_a,
+    deal_counts,
     total_travel_time,
     value_of_saved_time,
     zero_offer_column,
@@ -722,38 +724,43 @@ def brute_force_oracle(
     ``objective`` selects what is minimized: realized total travel time
     ("bpr", no capacity rows, matching the congestion-aware model) or
     expected free-flow time with optional alpha-scaled capacity rows
-    ("free_flow", matching the linear model). Ties return the
-    lexicographically smallest per-driver choice vector. Refuses instances
-    whose enumeration would exceed ``limit`` assignments.
+    ("free_flow", matching the linear model). Drivers of one OD pair are
+    interchangeable, so the search runs over offer counts: every
+    composition of each pair's drivers over its columns, in the order
+    ``kernels.enumerate_assignments`` documents, and the winning counts are
+    dealt to drivers once by ``deal_counts``. Ties return the
+    lexicographically smallest per-driver choice vector, and
+    ``feasible_count`` still counts per-driver assignments. Refuses
+    instances with more than ``limit`` count vectors.
     """
     if pipe is None:
         pipe = prepare(scenario, penetration=penetration, seed=seed)
-    total = 1.0
-    for cols in pipe.columns:
-        total *= len(cols)
+    q = pipe.demand.q
+    widths = pipe.demand.d_matrix.sum(axis=1)
+    total = math.prod(math.comb(int(q_k + m_k) - 1, int(m_k) - 1) for q_k, m_k in zip(q, widths))
     if total > limit:
         raise OracleSizeError(total, limit)
     capacity = None
     if objective == "free_flow" and alpha is not None:
         capacity = alpha * pipe.w_row
-    best_obj, best_cols, count = kernels.enumerate_assignments(
+    best_obj, best_u, count = kernels.enumerate_assignments(
         pipe.a_matrix,
         pipe.background,
-        pipe.columns,
+        pipe.demand.d_matrix,
+        q,
         pipe.costs,
         budget,
+        pipe.free_flow_cost,
+        pipe.t0_row,
+        pipe.w_row,
         objective=objective,
-        free_flow_cost=pipe.free_flow_cost,
         capacity=capacity,
-        t0_row=pipe.t0_row,
-        w_row=pipe.w_row,
     )
     if count == 0:
         raise InfeasibleModelError("no feasible assignment under the given constraints")
-    s_mat = np.zeros((pipe.a_matrix.shape[1], pipe.demand.num_drivers))
-    for n, col in enumerate(best_cols):
-        s_mat[int(col), n] = 1.0
-    return OracleResult(assignment=s_mat, objective=float(best_obj), feasible_count=int(count))
+    return OracleResult(
+        assignment=deal_counts(best_u, pipe.demand), objective=best_obj, feasible_count=count
+    )
 
 
 def sweep(scenario, model, budgets, penetrations, **kwargs):

@@ -11,19 +11,29 @@ Rows whose derivative at 0 is already nonnegative have their root at 0;
 they are dropped before the Newton loop, which runs on the compressed
 remaining rows only and scatters its roots back at the end.
 
-The enumeration kernel walks every per-driver offer combination within a
-budget (and optional capacity bound), tracking the best objective; ties keep
-the first, i.e. lexicographically smallest, choice vector.
+The enumeration kernel searches offer counts, not per-driver choices:
+drivers of one OD pair are interchangeable, so each pair contributes its
+compositions of q_k drivers over its m_k columns, listed in decreasing
+lexicographic order of counts, and count vectors are their product with
+OD 0 outermost (C order over the mixed-radix index). Dealt to drivers by
+``flow.deal_counts``, this order gives ascending per-driver choice vectors.
+Vectors are scored in chunks. A chunk's best is its first vector within
+1e-15 of the chunk minimum, and it replaces the running best only when
+lower by more than 1e-15, so ties go to the lexicographically smallest
+per-driver choice vector.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 DERIVATIVE_TOL = 1e-10
 
-OBJECTIVE_BPR = 0
-OBJECTIVE_FREE_FLOW = 1
+# floats in one chunk's volume block (64 KB): the chunk's temporaries stay
+# in cache, and an oracle call adds nothing to the peak RSS of a desk run
+ENUMERATION_CHUNK = 1 << 13
 
 
 def _gamma_bracket_high(m, lam, rho):
@@ -62,123 +72,82 @@ def gamma_solve(m, lam, rho, t0, w, tol=DERIVATIVE_TOL):
     return roots
 
 
-def _enumerate(
-    a_matrix,
-    background,
-    columns,
-    lengths,
-    costs,
-    budget,
-    objective_kind,
-    free_flow_cost,
-    capacity,
-    t0_row,
-    w_row,
-):
-    """Depth-first walk over padded per-driver column lists."""
-    n_drivers = columns.shape[0]
-    n_rows = a_matrix.shape[0]
-    v_stack = np.zeros((n_drivers + 1, n_rows))
-    v_stack[0] = background
-    cost_stack = np.zeros(n_drivers + 1)
-    lin_stack = np.zeros(n_drivers + 1)
-    pos = np.zeros(n_drivers, dtype=np.int64)
-    best_obj = np.inf
-    best = np.full(n_drivers, -1, dtype=np.int64)
-    count = 0
-    has_cap = capacity is not None
-    depth = 0
-    while depth >= 0:
-        if pos[depth] >= lengths[depth]:
-            pos[depth] = 0
-            depth -= 1
-            if depth >= 0:
-                pos[depth] += 1
-            continue
-        col = columns[depth, pos[depth]]
-        new_cost = cost_stack[depth] + costs[col]
-        if new_cost > budget + 1e-9:
-            pos[depth] += 1
-            continue
-        v = v_stack[depth] + a_matrix[:, col]
-        if has_cap and np.any(v > capacity + 1e-9):
-            pos[depth] += 1
-            continue
-        v_stack[depth + 1] = v
-        cost_stack[depth + 1] = new_cost
-        lin_stack[depth + 1] = lin_stack[depth] + free_flow_cost[col]
-        if depth + 1 == n_drivers:
-            count += 1
-            if objective_kind == OBJECTIVE_FREE_FLOW:
-                obj = lin_stack[depth + 1]
-            else:
-                obj = float(np.sum(v * t0_row * (1.0 + 0.15 * (v / w_row) ** 4)))
-            if obj < best_obj - 1e-15:
-                best_obj = obj
-                best = np.array(
-                    [columns[k, pos[k]] for k in range(n_drivers)], dtype=np.int64
-                )
-            pos[depth] += 1
+def _compositions(total, parts, memo):
+    """Nonnegative integer ``parts``-vectors summing to ``total``.
+
+    Rows come in decreasing lexicographic order, most mass on the first
+    part first; each comes with its multinomial coefficient
+    total! / prod(u_j!) as an exact Python int (object array).
+    """
+    key = (total, parts)
+    if key not in memo:
+        if parts == 1:
+            memo[key] = (np.array([[total]], dtype=np.int64), np.array([1], dtype=object))
         else:
-            depth += 1
-    return best_obj, best, count
+            tables, weights = [], []
+            for first in range(total, -1, -1):
+                rest, rest_weights = _compositions(total - first, parts - 1, memo)
+                tables.append(np.column_stack((np.full(len(rest), first), rest)))
+                weights.append(rest_weights * math.comb(total, first))
+            memo[key] = (np.concatenate(tables), np.concatenate(weights))
+    return memo[key]
 
 
 def enumerate_assignments(
     a_matrix,
     background,
-    per_driver_columns,
+    d_matrix,
+    q,
     costs,
     budget,
+    free_flow_cost,
+    t0_row,
+    w_row,
     objective="bpr",
-    free_flow_cost=None,
     capacity=None,
-    t0_row=None,
-    w_row=None,
 ):
-    """Best feasible per-driver offer combination by exhaustive search.
+    """Best feasible offer counts by exhaustive search over count vectors.
 
-    ``per_driver_columns`` is a list of int arrays (allowed columns per
-    driver). Returns (best objective, chosen column per driver, number of
-    feasible assignments); the chosen vector is -1s when nothing is feasible.
+    ``d_matrix`` (OD pairs x columns) and ``q`` give each OD pair's columns
+    and driver count. Every ``u`` with ``D u = q`` and ``costs . u <=
+    budget`` (and ``A u + background <= capacity`` when ``capacity`` is
+    given) is scored by its BPR total travel time, or by ``free_flow_cost .
+    u`` when ``objective`` is "free_flow". Returns (best objective, best
+    count vector, number of feasible per-driver assignments); the count is
+    the exact int sum of prod_k q_k! / prod_j u_j! over feasible count
+    vectors, and the best count vector is None when nothing is feasible.
     """
-    n_drivers = len(per_driver_columns)
-    max_len = max((len(c) for c in per_driver_columns), default=0)
-    columns = np.full((max(n_drivers, 1), max(max_len, 1)), -1, dtype=np.int64)
-    lengths = np.zeros(max(n_drivers, 1), dtype=np.int64)
-    for k, cols in enumerate(per_driver_columns):
-        columns[k, : len(cols)] = cols
-        lengths[k] = len(cols)
-    a_matrix = np.asarray(a_matrix, dtype=float)
-    background = np.asarray(background, dtype=float)
-    costs = np.asarray(costs, dtype=float)
-    kind = OBJECTIVE_FREE_FLOW if objective == "free_flow" else OBJECTIVE_BPR
-    if free_flow_cost is None:
-        free_flow_cost = np.zeros(a_matrix.shape[1])
-    free_flow_cost = np.asarray(free_flow_cost, dtype=float)
-    if t0_row is None:
-        t0_row = np.ones(a_matrix.shape[0])
-    if w_row is None:
-        w_row = np.ones(a_matrix.shape[0])
-    t0_row = np.asarray(t0_row, dtype=float)
-    w_row = np.asarray(w_row, dtype=float)
-    if n_drivers == 0:
-        base = background
-        if kind == OBJECTIVE_FREE_FLOW:
-            return 0.0, np.zeros(0, dtype=np.int64), 1
-        obj = float(np.sum(base * t0_row * (1.0 + 0.15 * (base / w_row) ** 4)))
-        return obj, np.zeros(0, dtype=np.int64), 1
-    cap = np.asarray(capacity, dtype=float) if capacity is not None else None
-    return _enumerate(
-        a_matrix,
-        background,
-        columns,
-        lengths,
-        costs,
-        float(budget),
-        kind,
-        free_flow_cost,
-        cap,
-        t0_row,
-        w_row,
-    )
+    memo = {}
+    blocks = []
+    for row, q_k in zip(d_matrix, q):
+        cols = np.nonzero(row)[0]
+        blocks.append((cols, *_compositions(int(q_k), len(cols), memo)))
+    sizes = [len(table) for _, table, _ in blocks]
+    n_vectors = math.prod(sizes)
+    step = max(1, ENUMERATION_CHUNK // a_matrix.shape[0])
+    best_obj, best_u, count = np.inf, None, 0
+    for start in range(0, n_vectors, step):
+        digits = np.unravel_index(np.arange(start, min(start + step, n_vectors)), sizes)
+        u = np.zeros((len(digits[0]), a_matrix.shape[1]))
+        for (cols, table, _), d in zip(blocks, digits):
+            u[:, cols] = table[d]
+        v = u @ a_matrix.T + background
+        feasible = u @ costs <= budget + 1e-9
+        if capacity is not None:
+            feasible &= np.all(v <= capacity + 1e-9, axis=1)
+        rows = np.nonzero(feasible)[0]
+        if rows.size == 0:
+            continue
+        weight = 1
+        for (_, _, weights), d in zip(blocks, digits):
+            weight = weight * weights[d[rows]]
+        count += int(weight.sum())
+        if objective == "free_flow":
+            obj = u[rows] @ free_flow_cost
+        else:
+            v = v[rows]
+            obj = (v * t0_row * (1.0 + 0.15 * (v / w_row) ** 4)).sum(axis=1)
+        first = np.argmax(obj <= obj.min() + 1e-15)
+        if obj[first] < best_obj - 1e-15:
+            best_obj, best_u = float(obj[first]), u[rows[first]].copy()
+    return best_obj, best_u, count

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import flowincentives.cli as cli
 from flowincentives.cli import main
@@ -71,6 +73,41 @@ def test_oracle_verb(tmp_path, capsys):
     data = json.loads(out[out.index("{") :])
     # 4 columns per driver = 16 combos, minus the 4 where both take a $5 offer
     assert data["feasible_assignments"] == 12
+
+
+def _readme_command(prefix):
+    """The README's CLI line that starts with ``prefix``, as argv."""
+    text = (Path(__file__).parents[1] / "README.md").read_text().replace("\\\n", " ")
+    line = next(line for line in text.splitlines() if line.strip().startswith(prefix))
+    return shlex.split(line)[1:]
+
+
+def test_readme_oracle_example(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(_readme_command("flowincentives generate --nodes")) == 0
+    capsys.readouterr()
+    assert main(_readme_command("flowincentives oracle")) == 0
+    out = capsys.readouterr().out
+    assert isinstance(json.loads(out)["objective"], float)
+
+
+def test_unconverged_admm_warns(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--preset", "appendix-c", "--out", str(scenario)])
+    capsys.readouterr()
+    code = main(
+        ["solve", str(scenario), "--model", "admm", "--budget", "5", "--max-iters", "5",
+         "--out-dir", str(tmp_path / "admm")]
+    )
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: ") and "5 iterations" in err[0]
+    code = main(
+        ["solve", str(scenario), "--model", "linear", "--budget", "5", "--out-dir", str(tmp_path / "lin")]
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_report_verb(tmp_path, capsys):

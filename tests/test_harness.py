@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import make_assignment
 
 from flowincentives import harness
 from flowincentives.errors import InputError, OracleSizeError
@@ -12,6 +13,7 @@ from flowincentives.harness import (
     generate_synthetic,
     load_scenario,
     prepare,
+    realized_travel_time,
     report_csv_row,
     run_experiment,
     save_scenario,
@@ -164,25 +166,94 @@ def test_oracle_single_driver_two_offers():
     for col in pipe.columns[0]:
         s = np.zeros((pipe.a_matrix.shape[1], 1))
         s[col, 0] = 1.0
-        from flowincentives.harness import realized_travel_time
-
         values.append(realized_travel_time(pipe, s))
     assert result.objective == pytest.approx(min(values), abs=1e-12)
 
 
+def _per_driver_reference(pipe, budget, objective, alpha):
+    """Walk every per-driver choice vector in lexicographic order.
+
+    A later vector replaces the best only when lower by more than 1e-15.
+    Returns (best assignment, best objective, feasible count).
+    """
+    n_cols = pipe.a_matrix.shape[1]
+    best, best_obj, count = None, np.inf, 0
+    for combo in itertools.product(*[list(c) for c in pipe.columns]):
+        s = make_assignment(pipe.columns, n_cols, combo)
+        u = s.sum(axis=1)
+        if pipe.costs @ u > budget + 1e-9:
+            continue
+        if alpha is not None and np.any(pipe.a_matrix @ u + pipe.background > alpha * pipe.w_row + 1e-9):
+            continue
+        count += 1
+        obj = pipe.free_flow_cost @ u if objective == "free_flow" else realized_travel_time(pipe, s)
+        if obj < best_obj - 1e-15:
+            best, best_obj = s, obj
+    return best, best_obj, count
+
+
 def test_oracle_feasible_count_matches_combinatorics():
-    scenario = generate_synthetic(
+    one_od = generate_synthetic(
         nodes=4, richness=2, tightness=1.0, drivers=3, seed=5, menu_amounts=(0.0, 2.0, 10.0)
     )
-    pipe = prepare(scenario)
-    budget = 12.0
-    result = brute_force_oracle(scenario, budget=budget, objective="bpr", pipe=pipe)
-    count = sum(
-        1
-        for combo in itertools.product(*[list(c) for c in pipe.columns])
-        if sum(pipe.costs[c] for c in combo) <= budget + 1e-9
+    two_od = generate_synthetic(
+        nodes=6, richness=2, tightness=1.0, drivers=4, seed=5, menu_amounts=(0.0, 2.0, 10.0)
     )
-    assert result.feasible_count == count
+    budget = 12.0
+    # (scenario, penetration, objective, alpha, OD pairs with drivers, feasible count)
+    cases = [
+        (one_od, None, "bpr", None, 1, 136),
+        # alpha 1.2 prunes 136 budget-feasible assignments to 32 and moves the optimum
+        (one_od, None, "free_flow", 1.2, 1, 32),
+        (two_od, None, "bpr", None, 2, 512),
+        (one_od, 0.2, "bpr", None, 0, 1),
+    ]
+    for scenario, penetration, objective, alpha, n_od, expected in cases:
+        pipe = prepare(scenario, penetration=penetration)
+        assert np.count_nonzero(pipe.demand.q) == n_od
+        result = brute_force_oracle(
+            scenario, budget=budget, objective=objective, alpha=alpha, pipe=pipe
+        )
+        best, best_obj, count = _per_driver_reference(pipe, budget, objective, alpha)
+        assert count == expected
+        assert result.feasible_count == count
+        assert np.array_equal(result.assignment, best)
+        assert result.objective == pytest.approx(best_obj, rel=1e-12)
+
+
+def test_oracle_ties_go_to_smallest_choice_vector():
+    """Two identical parallel links: columns 0 and 2 ($0 on either route)
+    have identical A columns, so count vectors tie exactly."""
+    obj = {
+        "network": {
+            "nodes": ["a", "b"],
+            "links": [
+                {"id": 0, "from": "a", "to": "b", "t0_hours": 0.1, "capacity": 2.0, "length_miles": 5.0},
+                {"id": 1, "from": "a", "to": "b", "t0_hours": 0.1, "capacity": 2.0, "length_miles": 5.0},
+            ],
+            "od_pairs": [{"origin": "a", "destination": "b", "demand": 3}],
+        },
+        "horizon": 2,
+        "unit_length_hours": 0.2,
+        "choice": {"incentive_amounts": [0, 2]},
+    }
+    scenario = scenario_from_json(obj)
+    pipe = prepare(scenario)
+    assert np.array_equal(pipe.a_matrix[:, 0], pipe.a_matrix[:, 2])
+    for budget in (0.0, 4.0):
+        result = brute_force_oracle(scenario, budget=budget, objective="bpr", pipe=pipe)
+        assert result.assignment.sum(axis=1).tolist() == [3.0, 0.0, 0.0, 0.0]
+
+
+def test_oracle_count_exceeds_int64():
+    # one OD pair, 6 columns, 25 drivers: 142,506 count vectors
+    scenario = generate_synthetic(nodes=3, richness=2, drivers=25, seed=1)
+    pipe = prepare(scenario)
+    assert pipe.a_matrix.shape[1] == 6
+    assert pipe.costs.max() * 25 < 1000.0
+    result = brute_force_oracle(scenario, budget=1000.0, objective="bpr", pipe=pipe)
+    assert result.feasible_count == 6**25
+    assert result.feasible_count > np.iinfo(np.int64).max
 
 
 def test_oracle_lower_bounds_solvers():

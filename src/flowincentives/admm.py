@@ -8,12 +8,18 @@ split into consensus copies so every block update has a closed form:
     gamma  expected link volume per (time, link) row, gamma = A u + bg
     beta   slack in the budget row, c @ u + beta = budget
 
-An optional concave regularizer with weight ``lambda_reg`` pushes the
-entries of H toward {0, 1}; with weight zero the problem is convex and the
-iteration is a plain two-block alternation whose block order is randomly
-permuted each sweep. Seven dual vectors track the seven coupling
+An optional concave regularizer with weight ``lambda_reg`` (default 0)
+pushes the entries of H toward {0, 1}; with weight zero the problem is
+convex. The iteration is a two-block alternation whose block order is
+randomly permuted each sweep. Seven dual vectors track the seven coupling
 constraints; each dual ascent step adds rho times its residual exactly,
 which the test suite asserts.
+
+The admm model runs one relaxation, then ``round_counts`` finds the integer
+offer counts nearest its u in L1 exactly (a multiple-choice knapsack DP
+over spend), ``polish_counts`` moves single drivers within their OD pair
+while that lowers the BPR travel time, and ``flow.deal_counts`` builds the
+per-driver assignment once.
 
 Each sweep overwrites the state's S, W, H, lam5 and lam7 arrays in place
 rather than allocating new ones. A caller that keeps an iterate across
@@ -33,10 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, InputError, SolverLimitError
+from .errors import DivergenceError, InfeasibleModelError, InputError
 from .flow import deal_counts
 from .kernels import gamma_solve
-from .lp import LinearProgram, solve_binary_mip
 
 RESIDUAL_LABELS = (
     "offer_mass",  # ||S 1 - u||
@@ -53,31 +58,27 @@ RESIDUAL_LABELS = (
 class AdmmConfig:
     """Penalty, regularization and stopping parameters.
 
-    ``rho`` must differ from ``lambda_reg``: the H step divides by their
-    difference. ``rho > lambda_reg`` keeps the H subproblem convex (interval
-    projection); the ``rho < lambda_reg`` branch snaps H to the nearer of
-    {0, 1} and is experimental. Iteration stops at ``max_iters`` or once all
-    seven residual norms fall below ``residual_tol``.
+    ``rho`` must exceed ``lambda_reg``, which keeps the H subproblem convex
+    (an interval projection). Iteration stops at ``max_iters`` or once all
+    seven residual norms fall below ``residual_tol``; ``seed`` drives the
+    block order.
     """
 
     rho: float = 1.0
-    lambda_reg: float = 0.5
+    lambda_reg: float = 0.0
     max_iters: int = 5000
     residual_tol: float = 1e-4
     seed: int = 0
-    init_jitter: float = 0.0
 
     def __post_init__(self):
         if self.rho <= 0:
             raise InputError("rho must be positive")
         if self.lambda_reg < 0:
             raise InputError("lambda_reg must be nonnegative")
-        if self.rho == self.lambda_reg:
-            raise InputError("rho and lambda_reg must differ (the H step divides by rho - lambda_reg)")
+        if self.rho <= self.lambda_reg:
+            raise InputError("rho must exceed lambda_reg (the H step divides by rho - lambda_reg)")
         if self.max_iters < 1:
             raise InputError("max_iters must be at least 1")
-        if self.init_jitter < 0:
-            raise InputError("init_jitter must be nonnegative")
 
 
 @dataclass
@@ -162,24 +163,13 @@ class AdmmResult:
     state: AdmmState
 
 
-def initial_state(problem, jitter=0.0, seed=0):
-    """Uniform offer mass over each driver's own columns; duals at zero.
-
-    A positive ``jitter`` perturbs the per-driver mass (renormalized) with a
-    seeded draw. The regularized problem has symmetric stationary ridges
-    whenever offer columns are interchangeable; starting exactly on one
-    keeps the iteration there, so restarts break the tie at the start.
-    """
+def initial_state(problem):
+    """Uniform offer mass over each driver's own columns; duals at zero."""
     n_cols = problem.num_columns
     n_drivers = problem.num_drivers
     s_mat = np.zeros((n_cols, n_drivers))
-    rng = np.random.default_rng(seed + 7)
     for n, allowed in enumerate(problem.columns):
-        mass = np.full(len(allowed), 1.0 / len(allowed))
-        if jitter > 0:
-            mass = mass + rng.uniform(0.0, jitter, size=len(allowed))
-            mass /= mass.sum()
-        s_mat[allowed, n] = mass
+        s_mat[allowed, n] = 1.0 / len(allowed)
     u = s_mat.sum(axis=1)
     gamma = problem.a_matrix @ u + problem.background
     beta = max(0.0, problem.budget - float(problem.costs @ u))
@@ -243,19 +233,16 @@ def w_update(s_mat, lam2, lam7, rho, out=None):
 
 
 def h_update(s_mat, lam5, rho, lambda_reg, out=None):
-    """Box projection when rho > lambda_reg, nearest-binary snap otherwise.
+    """Box projection of (rho S - lam5 - lambda_reg / 2) / (rho - lambda_reg).
 
-    Ties at one half snap to 1. Written into ``out`` when given (which must
-    not be ``s_mat``), else into a new array.
+    Written into ``out`` when given (which must not be ``s_mat``), else into
+    a new array.
     """
     x = np.multiply(s_mat, rho, out=out)
     x -= lam5
     x -= lambda_reg / 2.0
     x /= rho - lambda_reg
-    if rho > lambda_reg:
-        return np.clip(x, 0.0, 1.0, out=x)
-    np.copyto(x, x >= 0.5)
-    return x
+    return np.clip(x, 0.0, 1.0, out=x)
 
 
 def s_update(u, h_mat, w_mat, lam1, lam5, lam7, rho, out=None):
@@ -316,9 +303,12 @@ def residual_vectors(state, problem, volume=None):
     )
 
 
+def _bpr_terms(v, t0, w):
+    return v * t0 * (1.0 + 0.15 * (v / w) ** 4)
+
+
 def _bpr_total(volume, problem):
-    v = np.maximum(volume, 0.0)
-    return float(np.sum(v * problem.t0_row * (1.0 + 0.15 * (v / problem.w_row) ** 4)))
+    return float(np.sum(_bpr_terms(np.maximum(volume, 0.0), problem.t0_row, problem.w_row)))
 
 
 def relaxed_objective(u, problem):
@@ -401,7 +391,7 @@ def run_admm(problem, cfg=None):
     seeded from the config, so runs are reproducible.
     """
     cfg = cfg or AdmmConfig()
-    state = initial_state(problem, jitter=cfg.init_jitter, seed=cfg.seed)
+    state = initial_state(problem)
     u_factor = build_u_factor(problem)
     rng = np.random.default_rng(cfg.seed)
     converged = False
@@ -422,38 +412,92 @@ def run_admm(problem, cfg=None):
     )
 
 
-def round_assignment(u_star, demand, costs, budget, rel_gap=0.0, node_limit=20_000):
-    """Nearest feasible binary assignment in L1 distance on column sums.
+def round_counts(u_star, demand, costs, budget):
+    """Integer offer counts nearest to ``u_star`` in L1, exactly.
 
-    Drivers of one OD pair are interchangeable, so the integer program
-    chooses offer counts u directly: minimize ||u - u*||_1 subject to the
-    per-OD totals D u = q and the budget row, with the absolute values
-    linearized by auxiliary variables e >= +/-(u - u*). The counts are
-    solved by branch-and-bound and dealt to drivers at the end. Raises
-    SolverLimitError when ``node_limit`` runs out before any count vector
-    is found.
+    Minimizes sum |u - u*| over nonnegative integer u with per-OD totals
+    D u = q and costs @ u <= budget (1e-9 slack), with u* clipped at 0.
+    A DP adds one column at a time, OD pair by OD pair, each taking 0..q_k
+    drivers; a state is (drivers placed in the current pair, spend, L1), and
+    only the (spend, L1) Pareto frontier of each drivers-placed group is
+    kept, exact ties keeping the first state. Pairs couple only through the
+    budget, so this is the exact multiple-choice knapsack DP of Kellerer,
+    Pferschy & Pisinger, *Knapsack Problems* (2004), ch. 11, for any
+    nonnegative costs. Returns (counts, L1 distance); among count vectors at
+    the least distance the one with the least spend wins.
     """
     u_star = np.clip(np.asarray(u_star, dtype=float), 0.0, None)
     costs = np.asarray(costs, dtype=float)
-    n_cols = u_star.size
-    eye = np.eye(n_cols)
-    budget_row = np.concatenate([costs, np.zeros(n_cols)])
-    # variables: counts u, then one e per column
-    lp = LinearProgram(
-        c=np.concatenate([np.zeros(n_cols), np.ones(n_cols)]),
-        a_ub=np.vstack([budget_row, np.hstack([eye, -eye]), np.hstack([-eye, -eye])]),
-        b_ub=np.concatenate([[budget], u_star, -u_star]),
-        a_eq=np.hstack([demand.d_matrix, np.zeros_like(demand.d_matrix)]),
-        b_eq=demand.q,
-    )
-    res = solve_binary_mip(lp, range(n_cols), rel_gap=rel_gap, node_limit=node_limit)
-    if res.status == "infeasible":
-        raise AssertionError(
-            "rounding model infeasible; the $0 offer should always admit a solution"
-        )
-    if res.x is None:
-        raise SolverLimitError("node_limit", node_limit)
-    counts = res.x[:n_cols]
-    if float(costs @ counts) > budget + 1e-6:
-        raise AssertionError("rounded assignment exceeds the budget")
-    return deal_counts(counts, demand)
+    if np.any(costs < 0):
+        raise InputError("offer costs must be nonnegative")
+    placed, spend, l1 = np.zeros(1, dtype=int), np.zeros(1), np.zeros(1)
+    trail = []  # per column: (column, parent state, drivers it takes)
+    for block, q in zip(demand.d_matrix, np.rint(demand.q).astype(int)):
+        cols = np.nonzero(block > 0)[0]
+        for col in cols:
+            parent, add = np.divmod(np.arange(placed.size * (q + 1)), q + 1)
+            total = placed[parent] + add
+            # the pair's last column takes the drivers still unplaced
+            fits = (total == q) if col == cols[-1] else (total <= q)
+            fits &= spend[parent] + add * costs[col] <= budget + 1e-9
+            parent, add, total = parent[fits], add[fits], total[fits]
+            if parent.size == 0:
+                raise InfeasibleModelError("no integer offer counts meet the budget")
+            new_spend = spend[parent] + add * costs[col]
+            new_l1 = l1[parent] + np.abs(add - u_star[col])
+            # sorted by (placed, spend, L1), a state survives when its L1 rank is
+            # below every earlier one of its group; later groups get smaller
+            # key offsets, so the running minimum restarts at each group
+            order = np.lexsort((new_l1, new_spend, total))
+            rank = np.unique(new_l1, return_inverse=True)[1]
+            key = (q - total[order]) * (new_l1.size + 1) + rank[order]
+            keep = order[np.r_[True, key[1:] < np.minimum.accumulate(key)[:-1]]]
+            placed = np.zeros(keep.size, dtype=int) if col == cols[-1] else total[keep]
+            spend, l1 = new_spend[keep], new_l1[keep]
+            trail.append((col, parent[keep], add[keep]))
+    index = best = int(np.argmin(l1))
+    counts = np.zeros(u_star.size)
+    for col, parent, add in reversed(trail):
+        counts[col] = add[index]
+        index = parent[index]
+    return counts, float(l1[best])
+
+
+def round_assignment(u_star, demand, costs, budget):
+    """Nearest feasible binary assignment in L1 distance on column sums.
+
+    Drivers of one OD pair are interchangeable, so the counts come from
+    ``round_counts`` and are dealt to drivers by ``deal_counts``.
+    """
+    return deal_counts(round_counts(u_star, demand, costs, budget)[0], demand)
+
+
+def polish_counts(counts, problem):
+    """Best-improvement 1-exchange on integer offer counts.
+
+    A move shifts one driver between two columns of its own OD pair within
+    the budget (1e-9 slack) and is scored row by row on the BPR total travel
+    time of A u + bg. The best move is applied while it lowers that total by
+    more than 1e-12, so the loop ends at a 1-exchange local optimum (Ahuja,
+    Ergun, Orlin & Punnen, "A survey of very large-scale neighborhood search
+    techniques", 2002). Returns the polished counts and the number of moves.
+    """
+    p = problem
+    u = np.array(counts, dtype=float)
+    same_od = (p.d_matrix.T @ p.d_matrix > 0) & ~np.eye(u.size, dtype=bool)
+    src, dst = np.nonzero(same_od)
+    step = p.a_matrix[:, dst] - p.a_matrix[:, src]
+    extra_cost = p.costs[dst] - p.costs[src]
+    t0, w = p.t0_row[:, None], p.w_row[:, None]
+    moves = 0
+    while True:
+        volume = (p.a_matrix @ u + p.background)[:, None]
+        allowed = np.nonzero((u[src] >= 1) & (float(p.costs @ u) + extra_cost <= p.budget + 1e-9))[0]
+        before = _bpr_terms(volume, t0, w)
+        gain = (before - _bpr_terms(volume + step[:, allowed], t0, w)).sum(axis=0)
+        if gain.size == 0 or gain.max() <= 1e-12:
+            return u, moves
+        move = allowed[int(np.argmax(gain))]
+        u[src[move]] -= 1.0
+        u[dst[move]] += 1.0
+        moves += 1

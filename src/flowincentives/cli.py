@@ -47,10 +47,9 @@ def _add_solver_flags(parser):
     parser.add_argument("--no-alpha-retry", action="store_true", help="fail instead of doubling alpha on infeasibility")
     parser.add_argument("--rel-gap", type=float, default=0.01, help="relative MIP optimality gap")
     parser.add_argument("--rho", type=float, default=1.0, help="dual update step")
-    parser.add_argument("--lambda-reg", type=float, default=0.5, help="binary-forcing regularization weight")
+    parser.add_argument("--lambda-reg", type=float, default=0.0, help="binary-forcing regularization weight, below --rho")
     parser.add_argument("--max-iters", type=int, default=5000, help="iteration cap for the splitting solver")
     parser.add_argument("--tol", type=float, default=1e-4, help="residual tolerance for early exit")
-    parser.add_argument("--restarts", type=int, default=None, help="restart-ladder size for regularized runs")
 
 
 def _solver_kwargs(args):
@@ -66,12 +65,11 @@ def _solver_kwargs(args):
         lambda_reg=args.lambda_reg,
         max_iters=args.max_iters,
         tol=args.tol,
-        restarts=args.restarts,
     )
 
 
 def _warn_unconverged(report):
-    """One stderr line when the selected splitting-solver run hit max_iters."""
+    """One stderr line when the splitting-solver run hit max_iters."""
     extra = report.extra
     if extra.get("converged", True):
         return

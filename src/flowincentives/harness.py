@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .admm import AdmmConfig, AdmmProblem, round_assignment, run_admm
+from .admm import AdmmConfig, AdmmProblem, polish_counts, round_counts, run_admm
 from .choice import ChoiceCoefficients, IncentiveMenu, build_choice_matrix
 from .errors import InfeasibleModelError, InputError, OracleSizeError
 from .flow import (
@@ -542,30 +542,11 @@ def solve_linear(pipe, budget, alpha=1.0, rel_gap=0.01, alpha_retry=True, max_do
             retries += 1
 
 
-def solve_admm_model(
-    pipe,
-    budget,
-    rho=1.0,
-    lambda_reg=0.5,
-    max_iters=5000,
-    tol=1e-4,
-    seed=None,
-    round_gap=0.0,
-    restarts=None,
-):
-    """Relaxation plus rounding; returns (binary S, selected run, runs).
-
-    ``runs`` has one (realized travel time, iterations, converged) triple
-    per restart, in ladder order.
-
-    With the binary-forcing regularizer on, the problem is nonconvex and a
-    single run can settle on a poor locally-binary point, so the solver runs
-    a small deterministic restart ladder: the configured rho first, then
-    perturbed-start runs at a penalty just above the regularizer weight
-    (where binarization is strongest). Every candidate is rounded and scored
-    by the model's own realized travel time; the best rounded assignment
-    wins, ties going to the earliest run. Convex runs (lambda_reg = 0) have
-    a unique optimum and use a single start.
+def solve_admm_model(pipe, budget, rho=1.0, lambda_reg=0.0, max_iters=5000, tol=1e-4, seed=None):
+    """One relaxation (``run_admm``), its exact L1 rounding to offer counts
+    (``round_counts``), one exchange polish on realized travel time
+    (``polish_counts``), and S dealt once. Returns (binary S, AdmmResult,
+    rounding L1 distance, polish moves).
     """
     seed = pipe.scenario.seed if seed is None else seed
     problem = AdmmProblem(
@@ -579,31 +560,11 @@ def solve_admm_model(
         columns=pipe.columns,
         background=pipe.background,
     )
-    if restarts is None:
-        restarts = 4 if lambda_reg > 0 else 1
-    ladder = [(rho, seed, 0.0)]
-    alt_rho = lambda_reg + 0.05 if lambda_reg > 0 else rho
-    for k in range(restarts - 1):
-        ladder.append((alt_rho, seed + 1000 * k, 0.05))
-    best = None
-    runs = []
-    for run_rho, run_seed, jitter in ladder:
-        cfg = AdmmConfig(
-            rho=run_rho,
-            lambda_reg=lambda_reg,
-            max_iters=max_iters,
-            residual_tol=tol,
-            seed=run_seed,
-            init_jitter=jitter,
-        )
-        result = run_admm(problem, cfg)
-        s_mat = round_assignment(result.u, pipe.demand, pipe.costs, budget, rel_gap=round_gap)
-        realized = realized_travel_time(pipe, s_mat)
-        runs.append((realized, result.iterations, result.converged))
-        if best is None or realized < best[0] - 1e-12:
-            best = (realized, s_mat, result)
-    _, s_mat, result = best
-    return s_mat, result, runs
+    cfg = AdmmConfig(rho=rho, lambda_reg=lambda_reg, max_iters=max_iters, residual_tol=tol, seed=seed)
+    result = run_admm(problem, cfg)
+    counts, rounding_l1 = round_counts(result.u, pipe.demand, pipe.costs, budget)
+    counts, moves = polish_counts(counts, problem)
+    return deal_counts(counts, pipe.demand), result, rounding_l1, moves
 
 
 def run_experiment(
@@ -616,12 +577,10 @@ def run_experiment(
     alpha_retry=True,
     rel_gap=0.01,
     rho=1.0,
-    lambda_reg=0.5,
+    lambda_reg=0.0,
     max_iters=5000,
     tol=1e-4,
     vot=None,
-    round_gap=0.0,
-    restarts=None,
 ):
     """End-to-end run: prepare, solve, evaluate realized travel time, report."""
     started = time.perf_counter()
@@ -632,7 +591,7 @@ def run_experiment(
     baseline_s = zero_assignment(pipe)
     baseline_tt = realized_travel_time(pipe, baseline_s)
 
-    extra = {}
+    extra, trace = {}, None
     if pipe.demand.num_drivers == 0:
         s_mat = baseline_s
         extra["note"] = "no eligible drivers; baseline assignment"
@@ -651,29 +610,19 @@ def run_experiment(
             }
         )
     elif model == "admm":
-        s_mat, result, runs = solve_admm_model(
-            pipe,
-            budget,
-            rho=rho,
-            lambda_reg=lambda_reg,
-            max_iters=max_iters,
-            tol=tol,
-            seed=run_seed,
-            round_gap=round_gap,
-            restarts=restarts,
+        s_mat, trace, rounding_l1, moves = solve_admm_model(
+            pipe, budget, rho=rho, lambda_reg=lambda_reg, max_iters=max_iters, tol=tol, seed=run_seed
         )
         extra.update(
             {
-                "iterations": result.iterations,
-                "converged": result.converged,
-                "final_residuals": [float(v) for v in result.residuals[-1]],
-                "relaxed_objective": float(result.objectives[-1]),
-                "restart_objectives": [float(v) for v, _, _ in runs],
-                "restart_iterations": [int(n) for _, n, _ in runs],
-                "restart_converged": [bool(c) for _, _, c in runs],
+                "iterations": trace.iterations,
+                "converged": trace.converged,
+                "final_residuals": [float(v) for v in trace.residuals[-1]],
+                "relaxed_objective": float(trace.objectives[-1]),
+                "rounding_l1": rounding_l1,
+                "polish_moves": moves,
             }
         )
-        extra["residual_trace"] = result
     else:
         raise InputError(f"unknown model {model!r}; expected 'linear' or 'admm'")
 
@@ -682,7 +631,6 @@ def run_experiment(
     rewarded = int(round(s_mat[pipe.costs > 0].sum()))
     total = len(pipe.driver_ods)
     dist = _distribution(pipe, s_mat)
-    trace = extra.pop("residual_trace", None)
     report = ExperimentReport(
         model=model,
         budget=budget,

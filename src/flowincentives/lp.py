@@ -6,8 +6,9 @@ rows and a few hundred columns). The MIP solver runs best-first
 branch-and-bound on LP relaxations over general bounded integers (a binary
 is an integer with ub = 1), splitting on floor / ceil of the most
 fractional variable with deterministic tie-breaking, so repeated solves of
-the same instance return the same incumbent. The package's integer
-programs choose per-column offer counts, not per-driver binaries.
+the same instance return the same incumbent. It serves the free-flow MILP
+of scenario 1 only, which chooses per-column offer counts, not per-driver
+binaries; the admm model's rounding is a DP in ``admm.round_counts``.
 """
 
 from __future__ import annotations
@@ -90,21 +91,6 @@ class MipResult:
     objective: float = np.nan
     gap: float = np.inf
     nodes: int = 0
-
-
-def dump_lp(lp):
-    """Plain-text tableau of the model, for debugging small instances."""
-    lines = ["min " + " + ".join(f"{c:g}*x{j}" for j, c in enumerate(lp.c) if c != 0)]
-    for label, a, b, op in (("ub", lp.a_ub, lp.b_ub, "<="), ("eq", lp.a_eq, lp.b_eq, "=")):
-        for i in range(b.size):
-            terms = " + ".join(f"{a[i, j]:g}*x{j}" for j in range(lp.num_vars) if a[i, j] != 0)
-            lines.append(f"{label}{i}: {terms or '0'} {op} {b[i]:g}")
-    bounds = ", ".join(
-        f"{lp.lb[j]:g}<=x{j}<={lp.ub[j]:g}" if np.isfinite(lp.ub[j]) else f"x{j}>={lp.lb[j]:g}"
-        for j in range(lp.num_vars)
-    )
-    lines.append("bounds: " + bounds)
-    return "\n".join(lines)
 
 
 def _pivot(tableau, cost_row, basis, row, col):

@@ -3,9 +3,8 @@
 The package's sweep overwrites the state's arrays in place, computes
 A u + bg once per sweep, folds the finite check into the residual norms and
 runs the prox Newton on compressed rows. None of that may change a single
-bit of any iterate: the regularized restarts are chaotic, so a 1e-10 change
-in one sweep changes which restart wins. This module keeps the plain form
-every float is checked against: each block returns a fresh array, every
+bit of any iterate. This module keeps the plain form every float is
+checked against: each block returns a fresh array, every
 formula is written out once, in the order the package evaluates it.
 
 Kept separate from the package so it shares no code with what it checks;
@@ -68,10 +67,7 @@ def sweep(state, problem, rho, lambda_reg, u_factor, order):
             g = 1.0 + state.s_mat - (state.lam7 + state.lam2[None, :]) / rho
             state.w_mat = g - g.sum(axis=0, keepdims=True) / (m + 1.0)
             x = (rho * state.s_mat - state.lam5 - lambda_reg / 2.0) / (rho - lambda_reg)
-            if rho > lambda_reg:
-                state.h_mat = np.clip(x, 0.0, 1.0)
-            else:
-                state.h_mat = np.where(x >= 0.5, 1.0, 0.0)
+            state.h_mat = np.clip(x, 0.0, 1.0)
         else:
             n = state.h_mat.shape[1]
             g = (

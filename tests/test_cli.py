@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import flowincentives.cli as cli
@@ -89,6 +90,19 @@ def test_readme_oracle_example(tmp_path, capsys, monkeypatch):
     assert main(_readme_command("flowincentives oracle")) == 0
     out = capsys.readouterr().out
     assert isinstance(json.loads(out)["objective"], float)
+
+
+def test_readme_admm_example(tmp_path, capsys, monkeypatch):
+    # the README's admm solve on its 24-driver scenario, at the defaults:
+    # converges without a warning, well inside its time bound (about 0.1 s)
+    monkeypatch.chdir(tmp_path)
+    assert main(_readme_command("flowincentives generate --nodes")) == 0
+    capsys.readouterr()
+    started = time.perf_counter()
+    assert main(_readme_command("flowincentives solve scenario.json --model admm")) == 0
+    assert time.perf_counter() - started < 30.0
+    assert "warning:" not in capsys.readouterr().err
+    assert json.loads((tmp_path / "results" / "report.json").read_text())["extra"]["converged"]
 
 
 def test_unconverged_admm_warns(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowincentives.errors import InputError
-from flowincentives.lp import LinearProgram, dump_lp, solve_binary_mip, solve_lp
+from flowincentives.lp import LinearProgram, solve_binary_mip, solve_lp
 
 
 def vertex_enumeration_optimum(c, a_ub, b_ub, ub):
@@ -223,12 +223,3 @@ def test_iteration_limit_returns_incumbent():
     assert res.status in ("iteration-limit", "optimal")
     if res.status == "iteration-limit":
         assert res.gap > 0 or res.x is not None
-
-
-def test_dump_lp_round_trips_the_rows():
-    lp = LinearProgram(c=[1.0, 0.0], a_ub=[[2.0, 1.0]], b_ub=[3.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
-    text = dump_lp(lp)
-    assert "min 1*x0" in text
-    assert "ub0: 2*x0 + 1*x1 <= 3" in text
-    assert "eq0: 1*x0 + 1*x1 = 1" in text
-    assert "x0>=0" in text

@@ -21,10 +21,13 @@ over spend), ``polish_counts`` moves single drivers within their OD pair
 while that lowers the BPR travel time, and ``flow.deal_counts`` builds the
 per-driver assignment once.
 
-Each sweep overwrites the state's S, W, H, lam5 and lam7 arrays in place
-rather than allocating new ones. A caller that keeps an iterate across
-sweeps must copy it; ``AdmmResult.u`` and ``AdmmResult.s_relaxed`` already
-are copies.
+Drivers of one OD pair are interchangeable, and from the uniform start
+every sweep keeps their S, W, H, lam5 and lam7 columns equal. So
+``run_admm`` iterates one S column per OD class (pair with drivers),
+weighted by its q_k drivers (Boyd et al., *Distributed Optimization and
+Statistical Learning via ADMM*, 2011, section 7.3). Weights enter only the
+S row sums and the S-sized residual norms; at unit weight every float is
+the per-driver iteration's.
 
 The update formulas come from differentiating the augmented Lagrangian
 directly. In the u step the budget terms enter as
@@ -35,7 +38,7 @@ identity, so keep the rho-scaled form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,8 +90,9 @@ class AdmmProblem:
 
     ``a_matrix`` maps offer-column mass to expected (time, link) volume,
     ``d_matrix`` maps columns to OD pairs, ``columns`` lists each driver's
-    allowed columns, ``t0_row``/``w_row`` carry per-row BPR parameters, and
-    ``background`` is fixed non-decision volume added to A @ u.
+    allowed columns (its OD pair's whole block), ``t0_row``/``w_row`` carry
+    per-row BPR parameters, and ``background`` is fixed non-decision volume
+    added to A @ u.
     """
 
     a_matrix: np.ndarray
@@ -122,6 +126,7 @@ class AdmmProblem:
         self.background = np.asarray(self.background, dtype=float)
         if self.background.shape != (rows,):
             raise InputError("background volume must have one entry per volume row")
+        _entry_pairs(self.d_matrix, self.columns)
 
     @property
     def num_columns(self):
@@ -147,6 +152,8 @@ class AdmmState:
     lam5: np.ndarray
     lam6: float
     lam7: np.ndarray
+    weights: np.ndarray  # drivers each S column stands for
+    root_weights: np.ndarray  # their square roots, which scale the S-sized norms
     iteration: int = 0
     residual_history: list = field(default_factory=list)
     objective_history: list = field(default_factory=list)
@@ -154,6 +161,8 @@ class AdmmState:
 
 @dataclass
 class AdmmResult:
+    """From ``run_admm``, ``s_relaxed`` and ``state`` have one column per OD class."""
+
     u: np.ndarray
     s_relaxed: np.ndarray
     residuals: np.ndarray  # iterations x 7
@@ -163,14 +172,26 @@ class AdmmResult:
     state: AdmmState
 
 
+def _entry_pairs(d_matrix, columns):
+    """OD pair of each ``columns`` entry, which must be that pair's whole block."""
+    blocks = {tuple(np.nonzero(row > 0)[0]): k for k, row in enumerate(d_matrix) if np.any(row > 0)}
+    pairs = [blocks.get(tuple(np.sort(np.ravel(allowed)))) for allowed in columns]
+    if None in pairs:
+        raise InputError("each columns entry must be one OD pair's whole column block")
+    return np.array(pairs, dtype=int)
+
+
 def initial_state(problem):
-    """Uniform offer mass over each driver's own columns; duals at zero."""
+    """Uniform offer mass over each entry's block, which stands for q_k / n_k
+    drivers when n_k entries share pair k (1 per driver); duals at zero."""
+    pairs = _entry_pairs(problem.d_matrix, problem.columns)
+    weights = problem.q[pairs] / np.bincount(pairs)[pairs]
     n_cols = problem.num_columns
     n_drivers = problem.num_drivers
     s_mat = np.zeros((n_cols, n_drivers))
     for n, allowed in enumerate(problem.columns):
         s_mat[allowed, n] = 1.0 / len(allowed)
-    u = s_mat.sum(axis=1)
+    u = (s_mat * weights).sum(axis=1)
     gamma = problem.a_matrix @ u + problem.background
     beta = max(0.0, problem.budget - float(problem.costs @ u))
     k = problem.q.shape[0]
@@ -189,6 +210,8 @@ def initial_state(problem):
         lam5=np.zeros((n_cols, n_drivers)),
         lam6=0.0,
         lam7=np.zeros((n_cols, n_drivers)),
+        weights=weights,
+        root_weights=np.sqrt(weights),
     )
 
 
@@ -209,7 +232,7 @@ def u_update(state, problem, rho, u_factor):
     rhs = (
         (state.lam1 - p.d_matrix.T @ state.lam3 - p.a_matrix.T @ state.lam4 - state.lam6 * p.costs)
         / rho
-        + state.s_mat.sum(axis=1)
+        + (state.s_mat * state.weights).sum(axis=1)
         + p.d_matrix.T @ p.q
         + p.a_matrix.T @ (state.gamma - p.background)
         + (p.budget - state.beta) * p.costs
@@ -217,51 +240,31 @@ def u_update(state, problem, rho, u_factor):
     return u_factor @ rhs
 
 
-def w_update(s_mat, lam2, lam7, rho, out=None):
-    """Closed form for the column-sum copy; rank-one inverse applied in place.
-
-    Evaluates 1 + S - (lam7 + lam2) / rho minus its column sums over m + 1,
-    written into ``out`` when given (which must not be ``s_mat``), else into
-    a new array.
-    """
+def w_update(s_mat, lam2, lam7, rho):
+    """Closed form for the column-sum copy via its rank-one inverse:
+    1 + S - (lam7 + lam2) / rho, less its column sums over m + 1."""
     m = s_mat.shape[0]
-    g = np.add(lam7, lam2[None, :], out=out)
-    g /= rho
-    np.subtract(1.0 + s_mat, g, out=g)
-    g -= g.sum(axis=0, keepdims=True) / (m + 1.0)
-    return g
+    g = 1.0 + s_mat - (lam7 + lam2[None, :]) / rho
+    return g - g.sum(axis=0, keepdims=True) / (m + 1.0)
 
 
-def h_update(s_mat, lam5, rho, lambda_reg, out=None):
-    """Box projection of (rho S - lam5 - lambda_reg / 2) / (rho - lambda_reg).
+def h_update(s_mat, lam5, rho, lambda_reg):
+    """Box projection of (rho S - lam5 - lambda_reg / 2) / (rho - lambda_reg)."""
+    x = (rho * s_mat - lam5 - lambda_reg / 2.0) / (rho - lambda_reg)
+    return np.clip(x, 0.0, 1.0)
 
-    Written into ``out`` when given (which must not be ``s_mat``), else into
-    a new array.
+
+def s_update(u, h_mat, w_mat, lam1, lam5, lam7, rho, weights=None):
+    """Assignment update via the rank-one inverse of (rho w 1^T + 2 rho I).
+
+    Columns decouple given one shared weighted row sum: with
+    g = u + (lam5 + lam7 - lam1) / rho + H + W, S is g less its w-weighted
+    row sums over sum(w) + 2, halved. ``weights`` defaults to one per column.
     """
-    x = np.multiply(s_mat, rho, out=out)
-    x -= lam5
-    x -= lambda_reg / 2.0
-    x /= rho - lambda_reg
-    return np.clip(x, 0.0, 1.0, out=x)
-
-
-def s_update(u, h_mat, w_mat, lam1, lam5, lam7, rho, out=None):
-    """Assignment update via the rank-one inverse of (rho 1 1^T + 2 rho I).
-
-    Columns decouple given one shared row-sum reduction, so the work is one
-    dense expression, u + (lam5 + lam7 - lam1) / rho + H + W, less its row
-    sums over n + 2, halved. Reads no S, so ``out`` may be the current S.
-    """
-    n = h_mat.shape[1]
-    g = np.add(lam5, lam7, out=out)
-    g -= lam1[:, None]
-    g /= rho
-    g += u[:, None]
-    g += h_mat
-    g += w_mat
-    g -= g.sum(axis=1, keepdims=True) / (n + 2.0)
-    g /= 2.0
-    return g
+    if weights is None:
+        weights = np.ones(h_mat.shape[1])
+    g = u[:, None] + (lam5 + lam7 - lam1[:, None]) / rho + h_mat + w_mat
+    return (g - (g * weights).sum(axis=1, keepdims=True) / (weights.sum() + 2.0)) / 2.0
 
 
 def gamma_subproblem(a_u, lam4, rho, t0, w):
@@ -293,7 +296,7 @@ def residual_vectors(state, problem, volume=None):
     if volume is None:
         volume = _volume(state.u, p)
     return (
-        state.s_mat.sum(axis=1) - state.u,
+        (state.s_mat * state.weights).sum(axis=1) - state.u,
         state.w_mat.sum(axis=0) - 1.0,
         p.d_matrix @ state.u - p.q,
         volume - state.gamma,
@@ -334,9 +337,8 @@ def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
 
     Block 0 updates {u, W, H}; block 1 updates {S, gamma, beta}. Every
     update reads the most recent values of the other variables. Appends the
-    seven residual norms and the relaxed objective to the state's history.
-    S, W, H, lam5 and lam7 are overwritten in place; the only S-sized
-    temporaries are the H - S and W - S residuals and one in the W step.
+    seven residual norms, S-sized ones weighted per driver, and the relaxed
+    objective to the state's history.
     """
     if u_factor is None:
         u_factor = build_u_factor(problem)
@@ -346,13 +348,13 @@ def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
     for block in order:
         if block == 0:
             state.u = u_update(state, p, rho, u_factor)
-            w_update(state.s_mat, state.lam2, state.lam7, rho, out=state.w_mat)
-            h_update(state.s_mat, state.lam5, rho, cfg.lambda_reg, out=state.h_mat)
+            state.w_mat = w_update(state.s_mat, state.lam2, state.lam7, rho)
+            state.h_mat = h_update(state.s_mat, state.lam5, rho, cfg.lambda_reg)
             volume = None
         else:
-            s_update(
+            state.s_mat = s_update(
                 state.u, state.h_mat, state.w_mat, state.lam1, state.lam5, state.lam7, rho,
-                out=state.s_mat,
+                state.weights,
             )
             volume = _volume(state.u, p)
             state.gamma = gamma_subproblem(volume, state.lam4, rho, p.t0_row, p.w_row)
@@ -360,23 +362,22 @@ def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
     if volume is None:
         volume = _volume(state.u, p)
 
-    residuals = residual_vectors(state, p, volume)
+    r1, r2, r3, r4, r5, r6, r7 = residual_vectors(state, p, volume)
+    root = state.root_weights
+    scaled = (r1, r2 * root, r3, r4, r5 * root, r6, r7 * root)
     # the norms read every block (each feeds some residual linearly), so a
     # NaN or inf anywhere shows up here; name the block before duals move
-    norms = np.array([np.sqrt(r.ravel().dot(r.ravel())) for r in residuals])
+    norms = np.array([np.sqrt(r.ravel().dot(r.ravel())) for r in scaled])
     if not np.isfinite(norms).all():
         _check_finite(state, state.iteration)
 
-    r1, r2, r3, r4, r5, r6, r7 = residuals
     state.lam1 = state.lam1 + rho * r1
     state.lam2 = state.lam2 + rho * r2
     state.lam3 = state.lam3 + rho * r3
     state.lam4 = state.lam4 + rho * r4
-    r5 *= rho
-    state.lam5 += r5
+    state.lam5 = state.lam5 + rho * r5
     state.lam6 = state.lam6 + rho * float(r6[0])
-    r7 *= rho
-    state.lam7 += r7
+    state.lam7 = state.lam7 + rho * r7
 
     state.iteration += 1
     state.residual_history.append(norms)
@@ -387,11 +388,13 @@ def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
 def run_admm(problem, cfg=None):
     """Iterate to the relaxed solution; early exit once residuals pass tol.
 
-    The order of the two primal blocks is permuted each sweep by a generator
-    seeded from the config, so runs are reproducible.
+    S has one column per OD pair with q_k > 0, whatever ``problem.columns``
+    lists. The order of the two primal blocks is permuted each sweep by a
+    generator seeded from the config, so runs are reproducible.
     """
     cfg = cfg or AdmmConfig()
-    state = initial_state(problem)
+    blocks = [np.nonzero(row > 0)[0] for row, q in zip(problem.d_matrix, problem.q) if q > 0]
+    state = initial_state(replace(problem, columns=blocks))
     u_factor = build_u_factor(problem)
     rng = np.random.default_rng(cfg.seed)
     converged = False

@@ -10,7 +10,6 @@ operations can index links directly.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,12 +103,6 @@ class RouteSet:
     @property
     def num_routes(self):
         return len(self.routes)
-
-
-def build_network(nodes, link_rows):
-    """Construct a RoadNetwork from (id, tail, head, t0, capacity, length) rows."""
-    links = tuple(Link(*row) for row in link_rows)
-    return RoadNetwork(nodes=tuple(nodes), links=links)
 
 
 def network_from_json(obj):
@@ -261,8 +254,3 @@ def bpr_travel_time(t0, w, v):
         raise DomainError("volume must be nonnegative")
     out = t0 * (1.0 + 0.15 * (v / w) ** 4)
     return float(out) if out.ndim == 0 else out
-
-
-def load_network_file(path):
-    with open(path) as fh:
-        return network_from_json(json.load(fh))

@@ -1,11 +1,13 @@
-"""Frozen copy of the allocating ADMM sweep and volume-prox kernel.
+"""Frozen copy of the per-driver ADMM sweep and volume-prox kernel.
 
-The package's sweep overwrites the state's arrays in place, computes
-A u + bg once per sweep, folds the finite check into the residual norms and
-runs the prox Newton on compressed rows. None of that may change a single
-bit of any iterate. This module keeps the plain form every float is
-checked against: each block returns a fresh array, every
-formula is written out once, in the order the package evaluates it.
+The package's sweep weights each S column by the drivers it stands for,
+computes A u + bg once per sweep, folds the finite check into the residual
+norms and runs the prox Newton on compressed rows. At one column per driver
+(unit weights, as ``initial_state`` gives for per-driver problems) none of
+that may change a single bit of any iterate. This module keeps the plain
+unweighted form every float is checked against: each block returns a fresh
+array, every formula is written out once, in the order the package
+evaluates it.
 
 Kept separate from the package so it shares no code with what it checks;
 ``sweep`` takes the package's problem and state objects and the u-update

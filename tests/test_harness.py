@@ -313,6 +313,18 @@ def test_report_json_carries_admm_counters(tmp_path):
     assert extra["polish_moves"] > 0  # measured: 2 moves on the converged run
 
 
+def test_admm_report_row_at_100_drivers_is_frozen():
+    # frozen from the per-driver relaxation; the one-column-per-OD-pair
+    # iteration must reproduce the report byte for byte
+    scenario = generate_synthetic(nodes=40, richness=2, tightness=1.3, drivers=100, seed=7)
+    outcome = run_experiment(scenario, "admm", 100.0)
+    assert outcome.admm_result.iterations == 142
+    assert report_csv_row(outcome.report) == (
+        "admm,100,1,7,98,41,2.390243902,18.96426131,18.89423283,0.3692655481,"
+        "11.05049469,0:59;2:39;10:2"
+    )
+
+
 def test_sweep_rows_and_csv(tmp_path):
     scenario = generate_synthetic(nodes=4, richness=2, drivers=4, seed=8)
     reports = sweep(scenario, "linear", budgets=(0.0, 4.0), penetrations=(0.5, 1.0), alpha=6.0)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DivergenceError, InfeasibleModelError, InputError
 from .flow import deal_counts
-from .kernels import gamma_solve
+from .kernels import bpr_terms, gamma_solve
 
 RESIDUAL_LABELS = (
     "offer_mass",  # ||S 1 - u||
@@ -271,8 +271,9 @@ def gamma_subproblem(a_u, lam4, rho, t0, w):
     """Prox of v -> v * delay(v) at the current volume target, per row.
 
     Minimizes g * t0 (1 + 0.15 (g/w)^4) - lam4 * g + (rho/2)(a_u - g)^2 over
-    g >= 0; the derivative is strictly increasing so the safeguarded Newton
-    in the kernel module always lands within 1e-10 of the root (or at 0).
+    g >= 0 with the kernel module's plain Newton: a row stops at 0 when the
+    derivative there is nonnegative, otherwise once every row's derivative
+    is below 1e-10 in absolute value, or after 200 passes.
     """
     scalar = np.isscalar(a_u) or np.ndim(a_u) == 0
     out = gamma_solve(a_u, lam4, rho, t0, w)
@@ -306,12 +307,8 @@ def residual_vectors(state, problem, volume=None):
     )
 
 
-def _bpr_terms(v, t0, w):
-    return v * t0 * (1.0 + 0.15 * (v / w) ** 4)
-
-
 def _bpr_total(volume, problem):
-    return float(np.sum(_bpr_terms(np.maximum(volume, 0.0), problem.t0_row, problem.w_row)))
+    return float(np.sum(bpr_terms(np.maximum(volume, 0.0), problem.t0_row, problem.w_row)))
 
 
 def relaxed_objective(u, problem):
@@ -496,8 +493,8 @@ def polish_counts(counts, problem):
     while True:
         volume = (p.a_matrix @ u + p.background)[:, None]
         allowed = np.nonzero((u[src] >= 1) & (float(p.costs @ u) + extra_cost <= p.budget + 1e-9))[0]
-        before = _bpr_terms(volume, t0, w)
-        gain = (before - _bpr_terms(volume + step[:, allowed], t0, w)).sum(axis=0)
+        before = bpr_terms(volume, t0, w)
+        gain = (before - bpr_terms(volume + step[:, allowed], t0, w)).sum(axis=0)
         if gain.size == 0 or gain.max() <= 1e-12:
             return u, moves
         move = allowed[int(np.argmax(gain))]

@@ -1,15 +1,21 @@
-"""Hot numeric kernels: volume-delay prox solves and exhaustive enumeration.
+"""Hot numeric kernels: BPR terms, volume-delay prox solves and exhaustive enumeration.
 
 The prox kernel solves, independently for every (time, link) row,
 
     minimize over g >= 0:  g * d(g) - lam * g + (rho / 2) * (m - g)^2
 
-with d the BPR delay t0 * (1 + 0.15 (g/w)^4). The derivative
-t0 + 0.75 t0 g^4 / w^4 - lam + rho (g - m) is strictly increasing, so a
-safeguarded Newton iteration with a bisection bracket always converges.
-Rows whose derivative at 0 is already nonnegative have their root at 0;
-they are dropped before the Newton loop, which runs on the compressed
-remaining rows only and scatters its roots back at the end.
+with d the BPR delay t0 * (1 + 0.15 (g/w)^4). Rows whose derivative
+phi(g) = t0 + q g^4 - lam + rho (g - m), q = 0.75 t0 / w^4, is already
+nonnegative at 0 have their root at 0; they are dropped before the Newton
+loop, which runs on the compressed remaining rows only and scatters its
+roots back at the end. Plain Newton needs no safeguard there: on g >= 0,
+phi' = 4 q g^3 + rho >= rho > 0 and phi'' = 12 q g^2 >= 0, and a tangent
+under-estimates a convex function, so a step from any g >= 0 lands at or
+right of the root, and from there the iterates decrease monotonically onto
+it (the Fourier condition; Ortega & Rheinboldt, *Iterative Solution of
+Nonlinear Equations in Several Variables*, 1970). A row already within the
+tolerance is only refined, never knocked back. The loop stops once every
+row has |phi| < ``DERIVATIVE_TOL``, or after 200 passes.
 
 The enumeration kernel searches offer counts, not per-driver choices:
 drivers of one OD pair are interchangeable, so each pair contributes its
@@ -36,14 +42,13 @@ DERIVATIVE_TOL = 1e-10
 ENUMERATION_CHUNK = 1 << 13
 
 
-def _gamma_bracket_high(m, lam, rho):
-    # derivative at m + lam/rho is t0 * (1 + 0.15 (g/w)^4) > 0, so the root
-    # lies in (0, m + lam/rho] wherever the derivative at 0 is negative
-    return np.maximum(m + lam / rho, 1e-12)
+def bpr_terms(v, t0, w):
+    """Per-row BPR travel time v * t0 * (1 + 0.15 (v/w)^4)."""
+    return v * t0 * (1.0 + 0.15 * (v / w) ** 4)
 
 
-def gamma_solve(m, lam, rho, t0, w, tol=DERIVATIVE_TOL):
-    """Vectorized safeguarded Newton for the volume prox, one root per row."""
+def gamma_solve(m, lam, rho, t0, w):
+    """Vectorized Newton for the volume prox, one root per row."""
     m = np.asarray(m, dtype=float).ravel()
     rho = float(rho)
     lam = np.broadcast_to(np.asarray(lam, dtype=float), m.shape)
@@ -55,19 +60,12 @@ def gamma_solve(m, lam, rho, t0, w, tol=DERIVATIVE_TOL):
     active = t0 + quart * roots**4 - lam + rho * (roots - m) < 0.0
     m, lam, t0, quart = m[active], lam[active], t0[active], quart[active]
     quart4 = 4.0 * quart
-    lo = np.zeros_like(m)
-    hi = _gamma_bracket_high(m, lam, rho)
-    g = np.clip(m, 1e-12, hi)
+    g = np.maximum(m, 0.0)
     for _ in range(200):
         d = t0 + quart * g**4 - lam + rho * (g - m)
-        if np.abs(d).max(initial=0.0) < tol:
+        if np.abs(d).max(initial=0.0) < DERIVATIVE_TOL:
             break
-        np.copyto(lo, g, where=d < 0.0)
-        np.copyto(hi, g, where=d > 0.0)
-        step = g - d / (quart4 * g**3 + rho)
-        # false for NaN and +-inf steps too, which then bisect
-        inside = (step > lo) & (step < hi)
-        g = np.where(inside, step, 0.5 * (lo + hi))
+        g = g - d / (quart4 * g**3 + rho)
     roots[active] = g
     return roots
 
@@ -146,7 +144,7 @@ def enumerate_assignments(
             obj = u[rows] @ free_flow_cost
         else:
             v = v[rows]
-            obj = (v * t0_row * (1.0 + 0.15 * (v / w_row) ** 4)).sum(axis=1)
+            obj = bpr_terms(v, t0_row, w_row).sum(axis=1)
         first = np.argmax(obj <= obj.min() + 1e-15)
         if obj[first] < best_obj - 1e-15:
             best_obj, best_u = float(obj[first]), u[rows[first]].copy()

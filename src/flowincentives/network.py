@@ -70,9 +70,6 @@ class RoadNetwork:
         """Per-link practical capacity vector, indexed by link id."""
         return np.array([lk.capacity for lk in self.links], dtype=float)
 
-    def outgoing(self, node):
-        return tuple(lk for lk in self.links if lk.tail == node)
-
 
 @dataclass(frozen=True)
 class Route:
@@ -96,9 +93,6 @@ class RouteSet:
     od_pairs: tuple
     routes: tuple
     route_of_od: dict
-
-    def routes_of(self, od_index):
-        return [self.routes[j] for j in self.route_of_od[od_index]]
 
     @property
     def num_routes(self):

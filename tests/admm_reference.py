@@ -1,13 +1,18 @@
 """Frozen copy of the per-driver ADMM sweep and volume-prox kernel.
 
 The package's sweep weights each S column by the drivers it stands for,
-computes A u + bg once per sweep, folds the finite check into the residual
-norms and runs the prox Newton on compressed rows. At one column per driver
-(unit weights, as ``initial_state`` gives for per-driver problems) none of
-that may change a single bit of any iterate. This module keeps the plain
-unweighted form every float is checked against: each block returns a fresh
-array, every formula is written out once, in the order the package
-evaluates it.
+computes A u + bg once per sweep and folds the finite check into the
+residual norms. At one column per driver (unit weights, as
+``initial_state`` gives for per-driver problems) none of that may change a
+single bit of any iterate. This module keeps the plain unweighted form
+every float is checked against: each block returns a fresh array, every
+formula is written out once, in the order the package evaluates it.
+
+The package's prox is no longer this one: it runs plain Newton on
+compressed rows where ``gamma_solve`` here keeps the safeguarded,
+bracketed Newton over every row. Both stop at the same |phi| < 1e-10, so
+their roots agree to within 1e-9, not to the bit; the bit-identity test
+runs the package's sweep with this prox substituted for its own.
 
 Kept separate from the package so it shares no code with what it checks;
 ``sweep`` takes the package's problem and state objects and the u-update

@@ -432,8 +432,7 @@ def round_counts(u_star, demand, costs, budget):
         raise InputError("offer costs must be nonnegative")
     placed, spend, l1 = np.zeros(1, dtype=int), np.zeros(1), np.zeros(1)
     trail = []  # per column: (column, parent state, drivers it takes)
-    for block, q in zip(demand.d_matrix, np.rint(demand.q).astype(int)):
-        cols = np.nonzero(block > 0)[0]
+    for cols, q in zip(demand.blocks, np.rint(demand.q).astype(int)):
         for col in cols:
             parent, add = np.divmod(np.arange(placed.size * (q + 1)), q + 1)
             total = placed[parent] + add

@@ -11,6 +11,9 @@ Travel-time estimates are the free-flow route times by default. The offer
 matrix P has one column per (route, incentive) pair; the column for
 (route j', amount i') holds that distribution on the rows of j's OD pair and
 zeros elsewhere, so expected route loads are P @ S @ 1 for any assignment S.
+This module alone maps (route, amount) to a column (``offer_column``) and a
+column back to its offer (``column_offers``, ``ChoiceProbabilities.costs``,
+``amount_tally``).
 """
 
 from __future__ import annotations
@@ -75,7 +78,29 @@ class ChoiceProbabilities:
     menu: IncentiveMenu
 
     def column(self, route_index, incentive_index):
-        return self.matrix[:, route_index * len(self.menu) + incentive_index]
+        return self.matrix[:, offer_column(self.menu, route_index, incentive_index)]
+
+    @property
+    def costs(self):
+        """Each column's offered amount, which is also what offering it costs."""
+        return self.menu.costs[column_offers(self.menu, self.num_routes)[1]]
+
+
+def offer_column(menu, route_index, incentive_index):
+    """Column of the offer of ``menu.amounts[incentive_index]`` on a global route."""
+    return route_index * len(menu) + incentive_index
+
+
+def column_offers(menu, num_routes):
+    """Route index and menu index of every offer column, in column order:
+    the inverse of ``offer_column``."""
+    return np.divmod(np.arange(num_routes * len(menu)), len(menu))
+
+
+def amount_tally(menu, counts):
+    """Offers per menu amount in a vector of per-column offer counts."""
+    per_amount = np.asarray(counts, dtype=float).reshape(-1, len(menu)).sum(axis=0)
+    return {amount: int(round(n)) for amount, n in zip(menu.amounts, per_amount)}
 
 
 def acceptance_probabilities(travel_times, offered_route, amount, coeffs=None):
@@ -112,15 +137,13 @@ def build_choice_matrix(routes, menu, travel_time_estimates, coeffs=None):
     tt = np.asarray(travel_time_estimates, dtype=float)
     if tt.shape != (routes.num_routes,):
         raise InputError("need one travel-time estimate per route")
-    n_inc = len(menu)
-    matrix = np.zeros((routes.num_routes, routes.num_routes * n_inc))
-    for od_index, members in routes.route_of_od.items():
+    matrix = np.zeros((routes.num_routes, routes.num_routes * len(menu)))
+    for members in routes.route_of_od.values():
         members = np.asarray(members)
         pair_tt = tt[members]
         for local_j, j in enumerate(members):
             for i, amount in enumerate(menu.amounts):
-                col = j * n_inc + i
-                matrix[members, col] = acceptance_probabilities(
+                matrix[members, offer_column(menu, j, i)] = acceptance_probabilities(
                     pair_tt, local_j, amount, coeffs
                 )
     return ChoiceProbabilities(matrix=matrix, num_routes=routes.num_routes, menu=menu)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .choice import column_offers
 from .errors import DomainError, InputError
 from .network import bpr_travel_time
 
@@ -65,34 +66,29 @@ class DemandModel:
     def num_drivers(self):
         return len(self.driver_to_od)
 
+    @property
+    def blocks(self):
+        """Each OD pair's columns, ascending: its routes' offers."""
+        return [np.nonzero(row > 0)[0] for row in self.d_matrix]
+
+    def zero_counts(self, costs, q=None):
+        """Offer counts with each pair's ``q`` drivers (default: this model's)
+        on its cheapest column, which is the $0 offer on its first route."""
+        u = np.zeros(self.d_matrix.shape[1])
+        u[np.where(self.d_matrix > 0, costs, np.inf).argmin(axis=1)] = self.q if q is None else q
+        return u
+
 
 def build_demand_model(routes, menu, driver_to_od):
     """Build D, q and the driver map from a RouteSet and driver OD indices."""
-    n_inc = len(menu)
     n_od = len(routes.od_pairs)
-    d_matrix = np.zeros((n_od, routes.num_routes * n_inc))
+    od_of_route = np.zeros(routes.num_routes, dtype=int)
     for od_index, members in routes.route_of_od.items():
-        for j in members:
-            d_matrix[od_index, j * n_inc : (j + 1) * n_inc] = 1.0
+        od_of_route[members] = od_index
+    od_of_column = od_of_route[column_offers(menu, routes.num_routes)[0]]
+    d_matrix = (od_of_column == np.arange(n_od)[:, None]).astype(float)
     q = np.bincount(np.asarray(driver_to_od, dtype=int), minlength=n_od).astype(float)
     return DemandModel(q=q, d_matrix=d_matrix, driver_to_od=tuple(int(k) for k in driver_to_od))
-
-
-def assignment_columns(routes, menu, driver_to_od):
-    """Columns each driver may be assigned: own OD's routes x whole menu."""
-    n_inc = len(menu)
-    cols = []
-    for od_index in driver_to_od:
-        allowed = []
-        for j in routes.route_of_od[od_index]:
-            allowed.extend(j * n_inc + i for i in range(n_inc))
-        cols.append(np.asarray(allowed, dtype=int))
-    return cols
-
-
-def zero_offer_column(routes, menu, od_index):
-    """Column index of the $0 offer on the OD pair's first route."""
-    return routes.route_of_od[od_index][0] * len(menu)
 
 
 def deal_counts(counts, demand):
@@ -113,8 +109,7 @@ def deal_counts(counts, demand):
         raise InputError("offer counts must be nonnegative integers with D u = q")
     s_matrix = np.zeros((u.size, demand.num_drivers))
     driver_to_od = np.asarray(demand.driver_to_od, dtype=int)
-    for k, block in enumerate(demand.d_matrix):
-        cols = np.nonzero(block > 0)[0]
+    for k, cols in enumerate(demand.blocks):
         drivers = np.nonzero(driver_to_od == k)[0]
         s_matrix[np.repeat(cols, u[cols].astype(int)), drivers] = 1.0
     return s_matrix

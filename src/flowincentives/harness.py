@@ -21,17 +21,16 @@ import numpy as np
 
 from . import kernels
 from .admm import AdmmConfig, AdmmProblem, polish_counts, round_counts, run_admm
-from .choice import ChoiceCoefficients, IncentiveMenu, build_choice_matrix
+from .choice import ChoiceCoefficients, IncentiveMenu, amount_tally, build_choice_matrix
 from .errors import InfeasibleModelError, InputError, OracleSizeError
 from .flow import (
-    assignment_columns,
     build_demand_model,
     build_location_matrix,
     compose_a,
     deal_counts,
+    expected_volume,
     total_travel_time,
     value_of_saved_time,
-    zero_offer_column,
     DEFAULT_VALUE_OF_TIME,
 )
 from .network import (
@@ -216,12 +215,14 @@ def generate_synthetic(
     baseline; ``detour_capacity_factor`` scales the detour links' capacity
     relative to that rule, letting congested instances keep roomy
     alternatives. ``later_fraction`` of each pair's drivers enters at time 2
-    and is never incentivized.
+    and is never incentivized, so it needs a horizon of at least 2.
     """
     from .network import Link
 
     if richness < 1:
         raise InputError("richness must be at least 1")
+    if later_fraction > 0 and horizon < 2:
+        raise InputError("later entrants need a horizon of at least 2")
     rng = np.random.default_rng(seed)
     nodes_per_od = 2 + (richness - 1)
     n_od = max(1, nodes // nodes_per_od)
@@ -251,7 +252,7 @@ def generate_synthetic(
         later = int(round(later_fraction * count))
         if count - later > 0:
             demand.append((k, 1, count - later))
-        if later > 0 and horizon >= 2:
+        if later > 0:
             demand.append((k, 2, later))
     link_objs = []
     for lid, (tail, head, t0, is_detour) in enumerate(links):
@@ -274,6 +275,30 @@ def generate_synthetic(
     )
 
 
+def _no_incentive_volume(scenario, routes, probabilities, demand, held, location=None):
+    """Expected volume of drivers held at the $0 offer, plus the scenario's
+    fixed background: one matvec per entrance on the per-OD $0 counts that
+    the (od_index, entrance, count) entries of ``held`` add up to, placed by
+    ``demand``'s D. ``location`` is R at entrance 1 when the caller has it."""
+    net = scenario.net
+    per_entrance = {}
+    for od_index, entrance, count in held:
+        per_entrance.setdefault(entrance, np.zeros(len(scenario.od_pairs)))[od_index] += count
+    volume = np.zeros(net.num_links * scenario.horizon)
+    if scenario.background_volume is not None:
+        volume = volume + scenario.background_volume
+    for entrance, q in sorted(per_entrance.items()):
+        if not q.any():
+            continue
+        loc = location
+        if entrance != 1 or loc is None:
+            loc = build_location_matrix(
+                net, routes, scenario.horizon, scenario.unit_length_hours, entrance_time=entrance
+            )
+        volume = volume + loc.matrix @ (probabilities.matrix @ demand.zero_counts(probabilities.costs, q))
+    return volume
+
+
 def congested_route_estimates(scenario, routes):
     """Route travel-time estimates under the no-incentive traffic pattern.
 
@@ -286,20 +311,10 @@ def congested_route_estimates(scenario, routes):
     net = scenario.net
     tt_free = np.array([r.free_flow_time for r in routes.routes])
     probabilities = build_choice_matrix(routes, scenario.menu, tt_free, scenario.coeffs)
-    volume = np.zeros(net.num_links * scenario.horizon)
-    if scenario.background_volume is not None:
-        volume = volume + scenario.background_volume
-    location_cache = {}
-    for od_index, entrance, count in scenario.demand:
-        if entrance not in location_cache:
-            location_cache[entrance] = build_location_matrix(
-                net, routes, scenario.horizon, scenario.unit_length_hours, entrance_time=entrance
-            )
-        col = zero_offer_column(routes, scenario.menu, od_index)
-        volume = volume + count * (location_cache[entrance].matrix @ probabilities.matrix[:, col])
-    t0_row = np.tile(net.free_flow_times, scenario.horizon)
-    w_row = np.tile(net.capacity_vector, scenario.horizon)
-    link_time = bpr_travel_time(t0_row, w_row, volume).reshape(scenario.horizon, net.num_links)
+    pairs = build_demand_model(routes, scenario.menu, ())  # D alone, no drivers
+    volume = _no_incentive_volume(scenario, routes, probabilities, pairs, scenario.demand)
+    volume = volume.reshape(scenario.horizon, net.num_links)
+    link_time = bpr_travel_time(net.free_flow_times, net.capacity_vector, volume)
     mean_link_time = link_time.mean(axis=0)
     return np.array([float(route.incidence @ mean_link_time) for route in routes.routes])
 
@@ -354,41 +369,21 @@ def prepare(scenario, penetration=None, seed=None, max_routes=4):
     )
     a_matrix = compose_a(location, probabilities)
 
+    entries = sorted(scenario.demand, key=lambda e: (e[1], e[0]))
     driver_ods = []
-    for od_index, entrance, count in sorted(scenario.demand, key=lambda e: (e[1], e[0])):
+    for od_index, entrance, count in entries:
         driver_ods.extend([(od_index, entrance)] * count)
-    first_ids = [i for i, (_, t) in enumerate(driver_ods) if t == 1]
-    eligible = select_cohort(first_ids, pen, seed)
-    eligible_set = set(eligible)
+    # entries are sorted by entrance, so first-interval drivers come first
+    n_first = sum(count for _, entrance, count in entries if entrance == 1)
+    eligible = select_cohort(range(n_first), pen, seed)
+    driver_od = np.array(driver_ods, dtype=int).reshape(-1, 2)[:, 0]
+    demand = build_demand_model(routes, scenario.menu, driver_od[eligible])
 
-    n_inc = len(scenario.menu)
-    zero_col = {
-        k: zero_offer_column(routes, scenario.menu, k) for k in range(len(scenario.od_pairs))
-    }
-    n_rows = a_matrix.shape[0]
-    background = np.zeros(n_rows)
-    if scenario.background_volume is not None:
-        background = background + scenario.background_volume
-    location_cache = {1: location}
-    for i, (od_index, entrance) in enumerate(driver_ods):
-        if i in eligible_set:
-            continue
-        if entrance not in location_cache:
-            location_cache[entrance] = build_location_matrix(
-                net, routes, scenario.horizon, scenario.unit_length_hours, entrance_time=entrance
-            )
-        loc = location_cache[entrance]
-        background = background + loc.matrix @ probabilities.matrix[:, zero_col[od_index]]
-
-    demand = build_demand_model(
-        routes, scenario.menu, [driver_ods[i][0] for i in eligible]
-    )
-    columns = assignment_columns(routes, scenario.menu, demand.driver_to_od)
-    menu_costs = scenario.menu.costs
-    costs = np.array([menu_costs[col % n_inc] for col in range(a_matrix.shape[1])])
+    # the cohort's drivers come off their pairs' first-interval counts
+    held = entries + [(k, 1, -n) for k, n in enumerate(demand.q)]
+    background = _no_incentive_volume(scenario, routes, probabilities, demand, held, location)
+    blocks = demand.blocks
     t0_row = np.tile(net.free_flow_times, scenario.horizon)
-    w_row = np.tile(net.capacity_vector, scenario.horizon)
-    omega = np.tile(net.free_flow_times, scenario.horizon)
     return Pipeline(
         scenario=scenario,
         routes=routes,
@@ -396,28 +391,26 @@ def prepare(scenario, penetration=None, seed=None, max_routes=4):
         location=location,
         a_matrix=a_matrix,
         demand=demand,
-        columns=columns,
-        costs=costs,
+        columns=[blocks[k] for k in demand.driver_to_od],
+        costs=probabilities.costs,
         eligible_ids=eligible,
         driver_ods=driver_ods,
         background=background,
         t0_row=t0_row,
-        w_row=w_row,
-        free_flow_cost=a_matrix.T @ omega,
+        w_row=np.tile(net.capacity_vector, scenario.horizon),
+        free_flow_cost=a_matrix.T @ t0_row,
     )
 
 
 def zero_assignment(pipe):
     """Every eligible driver on the $0 column of their pair's first route."""
-    s_mat = np.zeros((pipe.a_matrix.shape[1], pipe.demand.num_drivers))
-    for n, od in enumerate(pipe.demand.driver_to_od):
-        s_mat[zero_offer_column(pipe.routes, pipe.scenario.menu, od), n] = 1.0
-    return s_mat
+    return deal_counts(pipe.demand.zero_counts(pipe.costs), pipe.demand)
 
 
 def realized_travel_time(pipe, s_mat):
-    """Total vehicle-hours at the ORIGINAL capacities for an assignment."""
-    v = pipe.a_matrix @ s_mat.sum(axis=1) + pipe.background
+    """Total vehicle-hours at the ORIGINAL capacities for an assignment S
+    or its offer counts."""
+    v = expected_volume(pipe.a_matrix, s_mat) + pipe.background
     return total_travel_time(v, pipe.scenario.net)
 
 
@@ -505,17 +498,6 @@ def report_csv_row(report):
     return ",".join(values)
 
 
-def _distribution(pipe, s_mat):
-    """Offer counts per amount over every driver in the scenario."""
-    menu = pipe.scenario.menu
-    n_inc = len(menu)
-    counts = {amount: 0 for amount in menu.amounts}
-    counts[0.0] = len(pipe.driver_ods) - pipe.demand.num_drivers
-    for col in np.nonzero(s_mat.sum(axis=1))[0]:
-        counts[menu.amounts[col % n_inc]] += int(round(s_mat[col].sum()))
-    return counts
-
-
 def solve_linear(pipe, budget, alpha=1.0, rel_gap=0.01, alpha_retry=True, max_doublings=20):
     """Build and solve the free-flow MILP, doubling alpha on infeasibility."""
     retries = 0
@@ -533,7 +515,7 @@ def solve_linear(pipe, budget, alpha=1.0, rel_gap=0.01, alpha_retry=True, max_do
             columns=pipe.columns,
         )
         try:
-            report = solve_scenario1(model, pipe.scenario.menu, pipe.a_matrix, rel_gap=rel_gap)
+            report = solve_scenario1(model, pipe.scenario.menu, pipe.a_matrix)
             return report, current, retries
         except InfeasibleModelError:
             if not alpha_retry or retries >= max_doublings:
@@ -588,12 +570,11 @@ def run_experiment(
     pen = scenario.penetration_rate if penetration is None else penetration
     run_seed = scenario.seed if seed is None else seed
     pipe = prepare(scenario, penetration=pen, seed=run_seed)
-    baseline_s = zero_assignment(pipe)
-    baseline_tt = realized_travel_time(pipe, baseline_s)
+    baseline_tt = realized_travel_time(pipe, pipe.demand.zero_counts(pipe.costs))
 
     extra, trace = {}, None
     if pipe.demand.num_drivers == 0:
-        s_mat = baseline_s
+        s_mat = zero_assignment(pipe)
         extra["note"] = "no eligible drivers; baseline assignment"
     elif model == "linear":
         report1, alpha_used, retries = solve_linear(
@@ -626,11 +607,13 @@ def run_experiment(
     else:
         raise InputError(f"unknown model {model!r}; expected 'linear' or 'admm'")
 
-    achieved_tt = realized_travel_time(pipe, s_mat)
-    cost_used = float(pipe.costs @ s_mat.sum(axis=1))
-    rewarded = int(round(s_mat[pipe.costs > 0].sum()))
+    counts = s_mat.sum(axis=1)
+    achieved_tt = realized_travel_time(pipe, counts)
+    cost_used = float(pipe.costs @ counts)
+    rewarded = int(round(counts[pipe.costs > 0].sum()))
     total = len(pipe.driver_ods)
-    dist = _distribution(pipe, s_mat)
+    dist = amount_tally(scenario.menu, counts)
+    dist[0.0] += total - pipe.demand.num_drivers  # everyone else holds the $0 offer
     report = ExperimentReport(
         model=model,
         budget=budget,

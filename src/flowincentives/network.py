@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,14 @@ class RoadNetwork:
     @property
     def num_links(self):
         return len(self.links)
+
+    @cached_property
+    def adjacency(self):
+        """Outgoing links of every node, in link-id order; built once."""
+        out = {node: [] for node in self.nodes}
+        for lk in self.links:
+            out[lk.tail].append(lk)
+        return out
 
     @property
     def free_flow_times(self):
@@ -152,17 +161,12 @@ def shortest_path(net, origin, destination, mask=frozenset()):
     lexicographically smallest link-id sequence so repeated runs are
     deterministic under a fixed input ordering.
     """
-    node_set = set(net.nodes)
-    if origin not in node_set or destination not in node_set:
+    adjacency = net.adjacency
+    if origin not in adjacency or destination not in adjacency:
         raise InputError(f"unknown node id in OD pair ({origin!r}, {destination!r})")
     if origin == destination:
         raise InputError("origin and destination must differ")
 
-    adjacency = {}
-    for lk in net.links:
-        if lk.id in mask:
-            continue
-        adjacency.setdefault(lk.tail, []).append(lk)
     # heap entries carry the link-id tuple so equal-cost paths pop in
     # lexicographic order
     heap = [(0.0, (), origin)]
@@ -174,8 +178,8 @@ def shortest_path(net, origin, destination, mask=frozenset()):
         settled.add(node)
         if node == destination:
             return _route_from_links(net, (origin, destination), path, cost)
-        for lk in adjacency.get(node, ()):
-            if lk.head not in settled:
+        for lk in adjacency[node]:
+            if lk.id not in mask and lk.head not in settled:
                 heapq.heappush(heap, (cost + lk.t0_hours, path + (lk.id,), lk.head))
     return None
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choice import amount_tally
 from .errors import InfeasibleModelError, InputError, SolverLimitError
 from .flow import compose_a, deal_counts
 from .lp import LinearProgram, solve_binary_mip
@@ -47,12 +48,12 @@ class Scenario1Model:
 
     lp: LinearProgram
     demand: object  # DemandModel; deals the optimal counts to drivers
-    columns: list
     num_links: int
     free_flow_cost: np.ndarray
     costs: np.ndarray
     background: np.ndarray
     capacity_rhs: np.ndarray
+    rel_gap: float  # the config's gap, which solve_scenario1 uses by default
 
 
 @dataclass
@@ -82,23 +83,17 @@ def build_scenario1(routes, probabilities, location, demand, net, cfg, backgroun
     if background is None:
         background = np.zeros(n_rows)
     background = np.asarray(background, dtype=float)
-    blocks = [np.nonzero(demand.d_matrix[od] > 0)[0] for od in demand.driver_to_od]
+    blocks = demand.blocks
     if columns is not None and (
-        len(columns) != len(blocks)
-        or any(not np.array_equal(np.sort(c), b) for c, b in zip(columns, blocks))
+        len(columns) != demand.num_drivers
+        or any(not np.array_equal(np.sort(c), blocks[k]) for c, k in zip(columns, demand.driver_to_od))
     ):
         raise InputError("each driver's columns must be its OD pair's whole block")
 
-    omega = np.tile(net.free_flow_times, location.horizon)
-    free_flow_cost = a_matrix.T @ omega
-    menu_costs = probabilities.menu.costs
-    n_inc = len(probabilities.menu)
-    col_cost = np.array([menu_costs[col % n_inc] for col in range(a_matrix.shape[1])])
-
+    free_flow_cost = a_matrix.T @ np.tile(net.free_flow_times, location.horizon)
+    col_cost = probabilities.costs
     capacity_rhs = cfg.alpha * np.tile(net.capacity_vector, location.horizon) - background
-    used = np.zeros(a_matrix.shape[1], dtype=bool)
-    for cols in blocks:
-        used[cols] = True
+    used = demand.d_matrix[demand.q > 0].any(axis=0)
     # all-zero rows only matter when background already busts the cap
     kept = np.any(a_matrix[:, used] > 0.0, axis=1) | (capacity_rhs < -_CAP_TOL)
     lp = LinearProgram(
@@ -111,12 +106,12 @@ def build_scenario1(routes, probabilities, location, demand, net, cfg, backgroun
     return Scenario1Model(
         lp=lp,
         demand=demand,
-        columns=blocks,
         num_links=net.num_links,
         free_flow_cost=free_flow_cost,
         costs=col_cost,
         background=background,
         capacity_rhs=capacity_rhs,
+        rel_gap=cfg.rel_gap,
     )
 
 
@@ -127,25 +122,24 @@ def candidate_binding_rows(model, a_matrix):
     can only shift expected volume between a pair's routes, so a cell that
     the cheapest assignment already busts is a strong suspect.
     """
-    zero_load = model.background.copy()
-    for cols in model.columns:
-        free = cols[np.argmin(model.costs[cols])]
-        zero_load = zero_load + a_matrix[:, free]
+    zero_load = model.background + a_matrix @ model.demand.zero_counts(model.costs)
     cap_abs = model.capacity_rhs + model.background
     violated = np.nonzero(zero_load > cap_abs + _CAP_TOL)[0]
     return [(int(r % model.num_links), int(r // model.num_links)) for r in violated]
 
 
-def solve_scenario1(model, menu, a_matrix, rel_gap=0.01, node_limit=200_000):
+def solve_scenario1(model, menu, a_matrix, rel_gap=None, node_limit=200_000):
     """Solve the built MILP and deal the optimal offer counts to drivers.
+
+    ``rel_gap`` defaults to the gap of the config the model was built with.
 
     Raises InfeasibleModelError naming candidate binding capacity rows when
     no assignment fits under the alpha-scaled capacities; callers may retry
     with a larger alpha. Raises SolverLimitError when ``node_limit`` runs
     out before any assignment is found.
     """
-    n_cols = a_matrix.shape[1]
-    res = solve_binary_mip(model.lp, range(n_cols), rel_gap=rel_gap, node_limit=node_limit)
+    rel_gap = model.rel_gap if rel_gap is None else rel_gap
+    res = solve_binary_mip(model.lp, range(a_matrix.shape[1]), rel_gap=rel_gap, node_limit=node_limit)
     if res.status == "infeasible":
         raise InfeasibleModelError(
             "no offer assignment satisfies the scaled capacity rows",
@@ -158,15 +152,11 @@ def solve_scenario1(model, menu, a_matrix, rel_gap=0.01, node_limit=200_000):
     cost_used = float(model.costs @ counts)
     if cost_used > model.lp.b_ub[0] + 1e-6:
         raise AssertionError("scenario-1 solution exceeds the budget")
-    n_inc = len(menu)
-    offer_counts = {amount: 0 for amount in menu.amounts}
-    for col in np.nonzero(counts)[0]:
-        offer_counts[menu.amounts[col % n_inc]] += int(counts[col])
     return Scenario1Report(
         assignment=s_mat,
         objective=float(model.free_flow_cost @ counts),
         cost_used=cost_used,
-        offer_counts=offer_counts,
+        offer_counts=amount_tally(menu, counts),
         status=res.status,
         gap=res.gap,
     )

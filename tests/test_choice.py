@@ -9,7 +9,9 @@ from flowincentives.choice import (
     ChoiceCoefficients,
     IncentiveMenu,
     acceptance_probabilities,
+    amount_tally,
     build_choice_matrix,
+    offer_column,
 )
 from flowincentives.errors import InputError
 from flowincentives.network import enumerate_routes
@@ -146,3 +148,23 @@ def test_column_stochastic_per_od_block():
                 assert abs(col[members].sum() - 1.0) < 1e-12
                 outside = np.delete(col, members)
                 assert np.all(outside == 0.0)
+
+
+def test_column_layout_costs_and_tally_agree():
+    from flowincentives.harness import generate_synthetic, prepare
+
+    pipe = prepare(generate_synthetic(nodes=9, richness=3, drivers=9, seed=11))
+    probs, menu = pipe.probabilities, pipe.probabilities.menu
+    counts = np.arange(probs.matrix.shape[1], dtype=float)
+    expected = {amount: 0 for amount in menu.amounts}
+    seen = set()
+    for j in range(probs.num_routes):
+        for i, amount in enumerate(menu.amounts):
+            col = offer_column(menu, j, i)
+            seen.add(col)
+            assert probs.costs[col] == amount
+            assert np.array_equal(probs.column(j, i), probs.matrix[:, col])
+            expected[amount] += int(counts[col])
+    assert seen == set(range(probs.matrix.shape[1]))
+    tally = amount_tally(menu, counts)
+    assert tally == expected and list(tally) == list(menu.amounts)

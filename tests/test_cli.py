@@ -150,6 +150,15 @@ def test_error_exit_code(tmp_path):
     assert main(["solve", str(tmp_path / "missing.json"), "--model", "linear"]) == 1
 
 
+def test_generate_later_entrants_need_two_intervals(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    code = main(["generate", "--nodes", "8", "--drivers", "24", "--later-fraction", "0.5",
+                 "--horizon", "1", "--out", str(scenario)])
+    assert code == 1
+    assert "horizon" in capsys.readouterr().err
+    assert not scenario.exists()
+
+
 def test_solver_limit_exit_code(tmp_path, capsys, monkeypatch):
     def stopped(*args, **kwargs):
         raise SolverLimitError("node_limit", 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -6,10 +7,13 @@ import pytest
 from conftest import make_assignment
 
 from flowincentives.admm import round_counts
+from flowincentives.choice import build_choice_matrix, offer_column
 from flowincentives.errors import InputError, OracleSizeError
+from flowincentives.flow import build_location_matrix
 from flowincentives.harness import (
     appendix_c_scenario,
     brute_force_oracle,
+    congested_route_estimates,
     generate_synthetic,
     load_scenario,
     prepare,
@@ -23,7 +27,9 @@ from flowincentives.harness import (
     sweep,
     write_report_json,
     write_reports_csv,
+    zero_assignment,
 )
+from flowincentives.network import bpr_travel_time
 
 
 def test_generate_deterministic(tmp_path):
@@ -132,6 +138,95 @@ def test_later_entrants_fixed_as_background():
     assert pipe.background.sum() > 0
     # background drivers are not decision variables
     assert pipe.demand.num_drivers == sum(c for _, t, c in scenario.demand if t == 1)
+
+
+def test_generate_later_entrants_need_two_intervals():
+    with pytest.raises(InputError, match="horizon"):
+        generate_synthetic(nodes=8, drivers=24, later_fraction=0.5, horizon=1)
+    scenario = generate_synthetic(nodes=8, drivers=24, later_fraction=0.5, horizon=2)
+    assert scenario.total_drivers == 24
+
+
+def _no_incentive_load(scenario, routes, probabilities, entrance, od_index, cache):
+    """One driver's expected volume on the $0 offer of its pair's first route."""
+    if entrance not in cache:
+        cache[entrance] = build_location_matrix(
+            scenario.net, routes, scenario.horizon, scenario.unit_length_hours, entrance_time=entrance
+        )
+    col = probabilities.column(routes.route_of_od[od_index][0], 0)
+    return cache[entrance].matrix @ col
+
+
+def _per_driver_background(pipe):
+    scenario = pipe.scenario
+    background = np.zeros(pipe.a_matrix.shape[0])
+    if scenario.background_volume is not None:
+        background = background + scenario.background_volume
+    eligible, cache = set(pipe.eligible_ids), {}
+    for n, (od_index, entrance) in enumerate(pipe.driver_ods):
+        if n not in eligible:
+            background = background + _no_incentive_load(
+                scenario, pipe.routes, pipe.probabilities, entrance, od_index, cache
+            )
+    return background
+
+
+def _per_entry_congested_estimates(scenario, routes):
+    net = scenario.net
+    tt_free = np.array([r.free_flow_time for r in routes.routes])
+    probabilities = build_choice_matrix(routes, scenario.menu, tt_free, scenario.coeffs)
+    volume = np.zeros(net.num_links * scenario.horizon)
+    if scenario.background_volume is not None:
+        volume = volume + scenario.background_volume
+    cache = {}
+    for od_index, entrance, count in scenario.demand:
+        volume = volume + count * _no_incentive_load(
+            scenario, routes, probabilities, entrance, od_index, cache
+        )
+    t0_row = np.tile(net.free_flow_times, scenario.horizon)
+    w_row = np.tile(net.capacity_vector, scenario.horizon)
+    link_time = bpr_travel_time(t0_row, w_row, volume).reshape(scenario.horizon, net.num_links)
+    return np.array([route.incidence @ link_time.mean(axis=0) for route in routes.routes])
+
+
+@pytest.mark.parametrize(
+    "penetration, later, extra_volume, congested, repeat_entries",
+    [
+        (0.5, 0.0, False, False, False),
+        (1.0, 0.25, False, False, False),
+        (0.5, 0.3, True, False, False),
+        (0.5, 0.25, False, True, False),
+        (0.4, 0.25, True, True, True),
+    ],
+)
+def test_background_matches_per_driver_sum(penetration, later, extra_volume, congested, repeat_entries):
+    scenario = generate_synthetic(
+        nodes=12, richness=3, tightness=1.3, drivers=30, seed=5, later_fraction=later, horizon=3
+    )
+    rows = scenario.net.num_links * scenario.horizon
+    scenario = dataclasses.replace(
+        scenario,
+        background_volume=np.linspace(0.0, 2.0, rows) if extra_volume else None,
+        congested_estimates=congested,
+        # the same (OD, entrance) listed twice must add up
+        demand=scenario.demand + scenario.demand if repeat_entries else scenario.demand,
+    )
+    pipe = prepare(scenario, penetration=penetration, seed=3)
+    first = [n for n, (_, entrance) in enumerate(pipe.driver_ods) if entrance == 1]
+    assert pipe.eligible_ids == select_cohort(first, penetration, 3)
+    reference = _per_driver_background(pipe)
+    assert np.any(reference > 0)
+    np.testing.assert_allclose(pipe.background, reference, rtol=1e-12, atol=1e-12 * reference.max())
+    if congested:
+        np.testing.assert_allclose(
+            congested_route_estimates(scenario, pipe.routes),
+            _per_entry_congested_estimates(scenario, pipe.routes),
+            rtol=1e-12,
+        )
+    expected = np.zeros((pipe.a_matrix.shape[1], pipe.demand.num_drivers))
+    for n, od_index in enumerate(pipe.demand.driver_to_od):
+        expected[offer_column(scenario.menu, pipe.routes.route_of_od[od_index][0], 0), n] = 1.0
+    assert np.array_equal(zero_assignment(pipe), expected)
 
 
 def test_zero_eligible_drivers_fall_back_to_baseline():

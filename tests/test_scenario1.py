@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import flowincentives.scenario1 as scenario1
 from conftest import per_driver_incidence, scipy_milp_cases
 from flowincentives.choice import IncentiveMenu
 from flowincentives.errors import InfeasibleModelError, InputError, SolverLimitError
@@ -12,6 +13,7 @@ from flowincentives.harness import (
     generate_synthetic,
     prepare,
     run_experiment,
+    solve_linear,
 )
 from flowincentives.network import Link, RoadNetwork
 from flowincentives.scenario1 import Scenario1Config, build_scenario1, solve_scenario1
@@ -240,3 +242,27 @@ def test_node_limit_without_incumbent_raises():
         solve_scenario1(model, scenario.menu, pipe.a_matrix, node_limit=0)
     assert err.value.limit == "node_limit"
     assert "node_limit=0" in str(err.value)
+
+
+def test_config_rel_gap_reaches_the_mip(monkeypatch):
+    seen = []
+    solve = scenario1.solve_binary_mip
+
+    def recording(lp, int_vars, rel_gap, node_limit):
+        seen.append(rel_gap)
+        return solve(lp, int_vars, rel_gap=rel_gap, node_limit=node_limit)
+
+    monkeypatch.setattr(scenario1, "solve_binary_mip", recording)
+    scenario = generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7)
+    pipe = prepare(scenario)
+    cfg = Scenario1Config(budget=100.0, alpha=2.0, rel_gap=0.0)
+    model = build_scenario1(
+        pipe.routes, pipe.probabilities, pipe.location, pipe.demand, scenario.net, cfg,
+        background=pipe.background,
+    )
+    solve_scenario1(model, scenario.menu, pipe.a_matrix)
+    # an explicit argument still wins over the config
+    solve_scenario1(model, scenario.menu, pipe.a_matrix, rel_gap=0.5)
+    # the harness passes its gap once, through the config
+    solve_linear(pipe, 100.0, alpha=2.0, rel_gap=0.25)
+    assert seen == [0.0, 0.5, 0.25]

@@ -115,21 +115,6 @@ def deal_counts(counts, demand):
     return s_matrix
 
 
-def validate_assignment(s_matrix, columns, costs, budget, atol=1e-9):
-    """Check one-offer-per-driver, OD-block support, and the budget row."""
-    row_mass = s_matrix.sum(axis=0)
-    if not np.allclose(row_mass, 1.0, atol=atol):
-        raise InputError("each driver must receive exactly one offer")
-    for n, allowed in enumerate(columns):
-        outside = np.delete(s_matrix[:, n], allowed)
-        if np.any(np.abs(outside) > atol):
-            raise InputError(f"driver {n} has offer mass outside its OD pair")
-    cost = float(costs @ s_matrix.sum(axis=1))
-    if cost > budget + atol:
-        raise InputError(f"assignment cost {cost} exceeds budget {budget}")
-    return cost
-
-
 def build_location_matrix(net, routes, horizon, unit_length_hours, entrance_time=1):
     """Walk each route at free-flow speed and record per-unit link presence.
 

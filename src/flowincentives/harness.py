@@ -498,8 +498,12 @@ def report_csv_row(report):
     return ",".join(values)
 
 
-def solve_linear(pipe, budget, alpha=1.0, rel_gap=0.01, alpha_retry=True, max_doublings=20):
-    """Build and solve the free-flow MILP, doubling alpha on infeasibility."""
+_MAX_ALPHA_DOUBLINGS = 20
+
+
+def solve_linear(pipe, budget, alpha=1.0, rel_gap=0.01, alpha_retry=True):
+    """Build and solve the free-flow MILP, doubling alpha on infeasibility
+    at most ``_MAX_ALPHA_DOUBLINGS`` times."""
     retries = 0
     current = alpha
     while True:
@@ -518,7 +522,7 @@ def solve_linear(pipe, budget, alpha=1.0, rel_gap=0.01, alpha_retry=True, max_do
             report = solve_scenario1(model, pipe.scenario.menu, pipe.a_matrix)
             return report, current, retries
         except InfeasibleModelError:
-            if not alpha_retry or retries >= max_doublings:
+            if not alpha_retry or retries >= _MAX_ALPHA_DOUBLINGS:
                 raise
             current *= 2.0
             retries += 1
@@ -565,6 +569,8 @@ def run_experiment(
     vot=None,
 ):
     """End-to-end run: prepare, solve, evaluate realized travel time, report."""
+    if model not in ("linear", "admm"):
+        raise InputError(f"unknown model {model!r}; expected 'linear' or 'admm'")
     started = time.perf_counter()
     vot = scenario.vot if vot is None else vot
     pen = scenario.penetration_rate if penetration is None else penetration
@@ -590,7 +596,7 @@ def run_experiment(
                 "expected_free_flow_hours": report1.objective,
             }
         )
-    elif model == "admm":
+    else:
         s_mat, trace, rounding_l1, moves = solve_admm_model(
             pipe, budget, rho=rho, lambda_reg=lambda_reg, max_iters=max_iters, tol=tol, seed=run_seed
         )
@@ -604,8 +610,6 @@ def run_experiment(
                 "polish_moves": moves,
             }
         )
-    else:
-        raise InputError(f"unknown model {model!r}; expected 'linear' or 'admm'")
 
     counts = s_mat.sum(axis=1)
     achieved_tt = realized_travel_time(pipe, counts)
@@ -664,6 +668,8 @@ def brute_force_oracle(
     ``feasible_count`` still counts per-driver assignments. Refuses
     instances with more than ``limit`` count vectors.
     """
+    if objective not in ("bpr", "free_flow"):
+        raise InputError(f"unknown objective {objective!r}; expected 'bpr' or 'free_flow'")
     if pipe is None:
         pipe = prepare(scenario, penetration=penetration, seed=seed)
     q = pipe.demand.q

@@ -2,18 +2,20 @@
 
 The LP solver is a dense two-phase tableau simplex with Bland's rule, which
 trades speed for guaranteed termination; instances here are small (tens of
-rows and a few hundred columns). The MIP solver runs best-first
+rows and a few hundred columns). The MIP solver runs depth-first
 branch-and-bound on LP relaxations over general bounded integers (a binary
 is an integer with ub = 1), splitting on floor / ceil of the most
-fractional variable with deterministic tie-breaking, so repeated solves of
-the same instance return the same incumbent. It serves the free-flow MILP
-of scenario 1 only, which chooses per-column offer counts, not per-driver
-binaries; the admm model's rounding is a DP in ``admm.round_counts``.
+fractional variable and diving into the child with the lower bound first,
+with deterministic tie-breaking, so repeated solves of the same instance
+return the same incumbent. A node is dropped once its bound cannot beat
+the incumbent by more than the requested relative gap. It serves the
+free-flow MILP of scenario 1 only, which chooses per-column offer counts,
+not per-driver binaries; the admm model's rounding is a DP in
+``admm.round_counts``.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +82,8 @@ class LpResult:
 class MipResult:
     """Branch-and-bound outcome.
 
-    ``optimal`` means the gap closed to zero, ``gap-limit`` that the search
-    stopped inside the requested relative gap, ``iteration-limit`` that the
+    ``optimal`` means the gap closed to zero, ``gap-limit`` that nodes were
+    dropped inside the requested relative gap, ``iteration-limit`` that the
     node budget ran out; in the last two cases ``x`` is the incumbent, which
     is None when the node budget ran out before any integer point was found.
     """
@@ -205,13 +207,18 @@ def solve_lp(lp):
 
 
 def solve_binary_mip(lp, binary_vars, rel_gap=0.01, node_limit=100_000):
-    """Best-first branch-and-bound over the given integer variables.
+    """Depth-first branch-and-bound over the given integer variables.
 
     Each listed variable must take an integer value within its bounds; a
     binary is an integer with ub = 1. A node whose relaxation leaves x_j
     fractional splits into x_j <= floor(x_j) and x_j >= ceil(x_j), on the
     variable whose fractional part is closest to one half (lowest index on
-    ties). Terminates once (upper - lower) / max(|upper|, eps) <= rel_gap.
+    ties). Both children are solved, and the one with the lower bound is
+    explored first (the down child on ties). A node is dropped when its
+    bound is at least the incumbent minus 1e-9, or when an incumbent
+    exists and (upper - bound) / max(|upper|, eps) <= rel_gap; the
+    returned gap is measured from the least bound dropped by the second
+    rule.
     """
     int_vars = np.array(sorted(set(int(j) for j in binary_vars)), dtype=int)
     if rel_gap < 0:
@@ -232,31 +239,25 @@ def solve_binary_mip(lp, binary_vars, rel_gap=0.01, node_limit=100_000):
         )
         return solve_lp(node)
 
-    heap = []
-    counter = 0
     res = relax(lp.lb, lp.ub)
     if res.status == "infeasible":
         return MipResult(status="infeasible")
     if res.status == "unbounded":
         raise RuntimeError("relaxation is unbounded; bound the continuous variables")
-    heapq.heappush(heap, (res.objective, counter, lp.lb, lp.ub, res.x))
-    counter += 1
+    stack = [(res.objective, lp.lb, lp.ub, res.x)]
+    dropped = np.inf  # least bound dropped inside the gap
     nodes = 0
-    stopped_by_gap = False
-    final_lower = None
 
-    while heap:
-        lower, _, node_lb, node_ub, x_rel = heapq.heappop(heap)
-        final_lower = lower
-        if lower >= upper - 1e-9:
-            # best-first: every remaining node is at least as bad
-            break
-        gap = relative_gap(lower)
-        if gap <= rel_gap and gap > 1e-9:
-            stopped_by_gap = True
-            break
+    while stack:
+        bound, node_lb, node_ub, x_rel = stack.pop()
+        if bound >= upper - 1e-9:
+            continue
+        if relative_gap(bound) <= rel_gap:
+            dropped = min(dropped, bound)
+            continue
         nodes += 1
         if nodes > node_limit:
+            lower = min([dropped, bound] + [node[0] for node in stack])
             return MipResult(
                 status="iteration-limit",
                 x=incumbent,
@@ -277,32 +278,21 @@ def solve_binary_mip(lp, binary_vars, rel_gap=0.01, node_limit=100_000):
         # most fractional: part closest to 0.5, ties to the lowest index
         pos = int(np.argmax(0.5 - np.abs(frac - 0.5)))
         branch = int_vars[pos]
-        down, up = np.floor(values[pos]), np.ceil(values[pos])
-        for side in ("down", "up"):
-            child_lb = node_lb.copy()
-            child_ub = node_ub.copy()
-            if side == "down":
-                child_ub[branch] = down
-            else:
-                child_lb[branch] = up
+        down_ub = node_ub.copy()
+        down_ub[branch] = np.floor(values[pos])
+        up_lb = node_lb.copy()
+        up_lb[branch] = np.ceil(values[pos])
+        children = []
+        for child_lb, child_ub in ((node_lb, down_ub), (up_lb, node_ub)):
             child_res = relax(child_lb, child_ub)
-            if child_res.status != "optimal":
-                continue
-            if child_res.objective >= upper - 1e-9:
-                continue
-            heapq.heappush(
-                heap, (child_res.objective, counter, child_lb, child_ub, child_res.x)
-            )
-            counter += 1
+            if child_res.status == "optimal" and child_res.objective < upper - 1e-9:
+                children.append((child_res.objective, child_lb, child_ub, child_res.x))
+        # the lower-bound child goes on top of the stack, the down child on ties
+        children.sort(key=lambda child: child[0])
+        stack.extend(reversed(children))
 
     if incumbent is None:
         return MipResult(status="infeasible", nodes=nodes)
-    if heap and final_lower is not None:
-        lower = min(final_lower, heap[0][0])
-    elif final_lower is not None and stopped_by_gap:
-        lower = final_lower
-    else:
-        lower = upper
-    gap = relative_gap(lower)
-    status = "gap-limit" if (stopped_by_gap and gap > 1e-9) else "optimal"
+    gap = relative_gap(dropped)
+    status = "gap-limit" if gap > 1e-9 else "optimal"
     return MipResult(status=status, x=incumbent, objective=upper, gap=gap, nodes=nodes)

@@ -105,6 +105,22 @@ def test_readme_admm_example(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / "results" / "report.json").read_text())["extra"]["converged"]
 
 
+def test_readme_linear_example_at_full_penetration(tmp_path, capsys, monkeypatch):
+    # the README's linear solve on its 24-driver scenario with every driver
+    # in the cohort: the 1% gap stops the search after about a hundred nodes
+    monkeypatch.chdir(tmp_path)
+    assert main(_readme_command("flowincentives generate --nodes")) == 0
+    capsys.readouterr()
+    argv = _readme_command("flowincentives solve scenario.json --model linear")
+    argv[argv.index("--penetration") + 1] = "1"
+    started = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - started < 15.0
+    report = json.loads((tmp_path / "results" / "report.json").read_text())
+    assert report["penetration_rate"] == 1.0
+    assert report["extra"]["mip_gap"] <= 0.01
+
+
 def test_unconverged_admm_warns(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     main(["generate", "--preset", "appendix-c", "--out", str(scenario)])

@@ -265,28 +265,6 @@ def test_demand_model_validation(appendix_c_pipe):
         )
 
 
-def test_validate_assignment_contract(appendix_c_pipe):
-    from flowincentives.flow import validate_assignment
-
-    pipe = appendix_c_pipe
-    n_cols = pipe.a_matrix.shape[1]
-    good = np.zeros((n_cols, 2))
-    good[1, 0] = 1.0  # $5 on the fast route
-    good[0, 1] = 1.0
-    cost = validate_assignment(good, pipe.columns, pipe.costs, budget=5.0)
-    assert cost == 5.0
-    with pytest.raises(InputError):
-        validate_assignment(good, pipe.columns, pipe.costs, budget=4.0)
-    split = good.copy()
-    split[0, 0] = 0.5  # driver 0 now carries 1.5 offers
-    with pytest.raises(InputError):
-        validate_assignment(split, pipe.columns, pipe.costs, budget=10.0)
-    outside = np.zeros((n_cols, 1))
-    outside[0, 0] = 1.0
-    with pytest.raises(InputError):
-        validate_assignment(outside, [np.array([2, 3])], pipe.costs, budget=10.0)
-
-
 def test_deal_counts_deals_ascending():
     # two OD pairs, drivers interleaved: each pair's drivers in ascending
     # order take its columns in ascending order

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import make_assignment
 
+from flowincentives import harness
 from flowincentives.admm import round_counts
 from flowincentives.choice import build_choice_matrix, offer_column
 from flowincentives.errors import InputError, OracleSizeError
@@ -239,6 +240,19 @@ def test_zero_eligible_drivers_fall_back_to_baseline():
     assert "note" in outcome.report.extra
 
 
+@pytest.mark.parametrize("penetration", [0.1, 1.0])
+def test_unknown_model_rejected_before_any_work(monkeypatch, penetration):
+    # 0.1 leaves an empty cohort, 1.0 all six drivers: both fail before prepare
+    scenario = generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7)
+
+    def no_prepare(*args, **kwargs):
+        raise AssertionError("prepare ran for an unknown model")
+
+    monkeypatch.setattr(harness, "prepare", no_prepare)
+    with pytest.raises(InputError, match="'bogus'"):
+        run_experiment(scenario, "bogus", 10.0, penetration=penetration)
+
+
 def test_penetration_shrinks_decision_set():
     scenario = generate_synthetic(nodes=6, richness=2, drivers=10, seed=3)
     full = prepare(scenario, penetration=1.0)
@@ -360,6 +374,18 @@ def test_oracle_lower_bounds_solvers():
     linear = run_experiment(scenario, "linear", budget=12.0, alpha=5.0)
     assert oracle.objective <= admm.report.achieved_tt_hours + 1e-9
     assert oracle.objective <= linear.report.achieved_tt_hours + 1e-9
+
+
+def test_oracle_rejects_unknown_objective(monkeypatch):
+    scenario = generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated for an unknown objective")
+
+    monkeypatch.setattr(harness.kernels, "enumerate_assignments", no_enumeration)
+    with pytest.raises(InputError) as err:
+        brute_force_oracle(scenario, budget=100.0, objective="freeflow", penetration=0.5)
+    assert "'bpr'" in str(err.value) and "'free_flow'" in str(err.value)
 
 
 def test_oracle_size_guard():

@@ -266,3 +266,22 @@ def test_config_rel_gap_reaches_the_mip(monkeypatch):
     # the harness passes its gap once, through the config
     solve_linear(pipe, 100.0, alpha=2.0, rel_gap=0.25)
     assert seen == [0.0, 0.5, 0.25]
+
+
+def test_default_gap_prunes_the_search():
+    # the README generator at 6 drivers (alpha = 2): nodes dropped inside
+    # the 1% gap shorten the search, and the answer stays inside that gap
+    scenario = generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7)
+    pipe = prepare(scenario)
+    model = build_scenario1(
+        pipe.routes, pipe.probabilities, pipe.location, pipe.demand, scenario.net,
+        Scenario1Config(budget=100.0, alpha=2.0), background=pipe.background,
+        columns=pipe.columns,
+    )
+    int_vars = range(pipe.a_matrix.shape[1])
+    exact = scenario1.solve_binary_mip(model.lp, int_vars, rel_gap=0.0)
+    loose = scenario1.solve_binary_mip(model.lp, int_vars, rel_gap=0.01)
+    assert exact.status == "optimal"
+    assert loose.nodes < exact.nodes
+    assert loose.gap <= 0.01
+    assert loose.objective <= exact.objective + 0.01 * abs(exact.objective)

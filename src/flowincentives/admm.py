@@ -22,12 +22,17 @@ while that lowers the BPR travel time, and ``flow.deal_counts`` builds the
 per-driver assignment once.
 
 Drivers of one OD pair are interchangeable, and from the uniform start
-every sweep keeps their S, W, H, lam5 and lam7 columns equal. So
-``run_admm`` iterates one S column per OD class (pair with drivers),
-weighted by its q_k drivers (Boyd et al., *Distributed Optimization and
-Statistical Learning via ADMM*, 2011, section 7.3). Weights enter only the
-S row sums and the S-sized residual norms; at unit weight every float is
-the per-driver iteration's.
+every sweep keeps their S, W, H, lam5 and lam7 equal; each driver may only
+use its own pair's columns. So ``run_admm`` iterates the masked class
+relaxation: S, W, H, lam5 and lam7 are vectors of length n_cols, each
+column carrying the entry of its own OD class k(j) only, weighted by that
+class's q_k drivers, and lam2 has one entry per class (Boyd et al.,
+*Distributed Optimization and Statistical Learning via ADMM*, 2011, section
+7.3, with one block per OD pair). Every block update is then elementwise
+or a sum over one class's block. Pairs without drivers keep their columns
+at weight 0, where the offer-mass dual drives u to 0. The per-driver layout,
+one S column per ``problem.columns`` entry over every offer column, stays
+for the identity tests: the same functions take either layout.
 
 The update formulas come from differentiating the augmented Lagrangian
 directly. In the u step the budget terms enter as
@@ -38,7 +43,8 @@ identity, so keep the rho-scaled form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,6 +145,15 @@ class AdmmProblem:
 
 @dataclass
 class AdmmState:
+    """One iterate, in either layout.
+
+    Masked (``run_admm``): S, W, H, lam5 and lam7 are length-n_cols vectors,
+    ``classes`` gives each column's OD pair and lam2 has one entry per pair.
+    Per driver: they are (n_cols x entries) matrices, one column per
+    ``problem.columns`` entry, lam2 has one entry per column of S and
+    ``classes`` is None.
+    """
+
     u: np.ndarray
     s_mat: np.ndarray
     w_mat: np.ndarray
@@ -152,8 +167,8 @@ class AdmmState:
     lam5: np.ndarray
     lam6: float
     lam7: np.ndarray
-    weights: np.ndarray  # drivers each S column stands for
-    root_weights: np.ndarray  # their square roots, which scale the S-sized norms
+    weights: np.ndarray  # drivers each S entry stands for, broadcast against S
+    classes: np.ndarray = None  # masked layout: the OD pair of each column
     iteration: int = 0
     residual_history: list = field(default_factory=list)
     objective_history: list = field(default_factory=list)
@@ -161,7 +176,7 @@ class AdmmState:
 
 @dataclass
 class AdmmResult:
-    """From ``run_admm``, ``s_relaxed`` and ``state`` have one column per OD class."""
+    """From ``run_admm``, ``s_relaxed`` and ``state`` are in the masked layout."""
 
     u: np.ndarray
     s_relaxed: np.ndarray
@@ -181,17 +196,38 @@ def _entry_pairs(d_matrix, columns):
     return np.array(pairs, dtype=int)
 
 
-def initial_state(problem):
-    """Uniform offer mass over each entry's block, which stands for q_k / n_k
-    drivers when n_k entries share pair k (1 per driver); duals at zero."""
-    pairs = _entry_pairs(problem.d_matrix, problem.columns)
-    weights = problem.q[pairs] / np.bincount(pairs)[pairs]
+def _column_classes(d_matrix):
+    """OD pair of each column, which must belong to exactly one pair."""
+    member = d_matrix > 0
+    if not np.all(member.sum(axis=0) == 1):
+        raise InputError("each offer column must belong to exactly one OD pair")
+    return np.argmax(member, axis=0)
+
+
+def initial_state(problem, masked=False):
+    """Uniform offer mass over each block, duals at zero.
+
+    Masked, the one vector is uniform over every OD pair's block and each
+    column stands for its pair's q_k drivers (0 on a pair without drivers).
+    Per driver, each ``problem.columns`` entry spreads unit mass over its
+    block and stands for q_k / n_k drivers when n_k entries share pair k
+    (1 per driver).
+    """
     n_cols = problem.num_columns
-    n_drivers = problem.num_drivers
-    s_mat = np.zeros((n_cols, n_drivers))
-    for n, allowed in enumerate(problem.columns):
-        s_mat[allowed, n] = 1.0 / len(allowed)
-    u = (s_mat * weights).sum(axis=1)
+    if masked:
+        classes = _column_classes(problem.d_matrix)
+        s_mat = 1.0 / np.bincount(classes)[classes]
+        weights = problem.q[classes]
+        n_entries = problem.q.shape[0]
+    else:
+        classes = None
+        pairs = _entry_pairs(problem.d_matrix, problem.columns)
+        weights = problem.q[pairs] / np.bincount(pairs)[pairs]
+        n_entries = problem.num_drivers
+        s_mat = np.zeros((n_cols, n_entries))
+        for n, allowed in enumerate(problem.columns):
+            s_mat[allowed, n] = 1.0 / len(allowed)
+    u = _offer_mass(s_mat, weights)
     gamma = problem.a_matrix @ u + problem.background
     beta = max(0.0, problem.budget - float(problem.costs @ u))
     k = problem.q.shape[0]
@@ -204,15 +240,21 @@ def initial_state(problem):
         gamma=gamma,
         beta=beta,
         lam1=np.zeros(n_cols),
-        lam2=np.zeros(n_drivers),
+        lam2=np.zeros(n_entries),
         lam3=np.zeros(k),
         lam4=np.zeros(rows),
-        lam5=np.zeros((n_cols, n_drivers)),
+        lam5=np.zeros(s_mat.shape),
         lam6=0.0,
-        lam7=np.zeros((n_cols, n_drivers)),
+        lam7=np.zeros(s_mat.shape),
         weights=weights,
-        root_weights=np.sqrt(weights),
+        classes=classes,
     )
+
+
+def _offer_mass(s_mat, weights):
+    """S 1 over the drivers each entry stands for: q_j S_j when masked."""
+    mass = s_mat * weights
+    return mass if mass.ndim == 1 else mass.sum(axis=1)
 
 
 def build_u_factor(problem):
@@ -232,7 +274,7 @@ def u_update(state, problem, rho, u_factor):
     rhs = (
         (state.lam1 - p.d_matrix.T @ state.lam3 - p.a_matrix.T @ state.lam4 - state.lam6 * p.costs)
         / rho
-        + (state.s_mat * state.weights).sum(axis=1)
+        + _offer_mass(state.s_mat, state.weights)
         + p.d_matrix.T @ p.q
         + p.a_matrix.T @ (state.gamma - p.background)
         + (p.budget - state.beta) * p.costs
@@ -240,12 +282,20 @@ def u_update(state, problem, rho, u_factor):
     return u_factor @ rhs
 
 
-def w_update(s_mat, lam2, lam7, rho):
+def w_update(s_mat, lam2, lam7, rho, classes=None):
     """Closed form for the column-sum copy via its rank-one inverse:
-    1 + S - (lam7 + lam2) / rho, less its column sums over m + 1."""
-    m = s_mat.shape[0]
-    g = 1.0 + s_mat - (lam7 + lam2[None, :]) / rho
-    return g - g.sum(axis=0, keepdims=True) / (m + 1.0)
+    g = 1 + S - (lam7 + lam2) / rho, less its column sums over m + 1.
+
+    Masked (``classes`` given), lam2 has one entry per OD pair and g is
+    less its sum over the column's block over n_k + 1 instead.
+    """
+    if classes is None:
+        m = s_mat.shape[0]
+        g = 1.0 + s_mat - (lam7 + lam2[None, :]) / rho
+        return g - g.sum(axis=0, keepdims=True) / (m + 1.0)
+    g = 1.0 + s_mat - (lam7 + lam2[classes]) / rho
+    sizes = np.bincount(classes, minlength=lam2.size)
+    return g - (np.bincount(classes, g, lam2.size) / (sizes + 1.0))[classes]
 
 
 def h_update(s_mat, lam5, rho, lambda_reg):
@@ -259,10 +309,13 @@ def s_update(u, h_mat, w_mat, lam1, lam5, lam7, rho, weights=None):
 
     Columns decouple given one shared weighted row sum: with
     g = u + (lam5 + lam7 - lam1) / rho + H + W, S is g less its w-weighted
-    row sums over sum(w) + 2, halved. ``weights`` defaults to one per column.
+    row sums over sum(w) + 2, halved. Masked (vector S), each row holds one
+    entry and S = g / (w + 2). ``weights`` defaults to one per entry.
     """
     if weights is None:
-        weights = np.ones(h_mat.shape[1])
+        weights = np.ones(h_mat.shape[-1])
+    if h_mat.ndim == 1:
+        return (u + (lam5 + lam7 - lam1) / rho + h_mat + w_mat) / (weights + 2.0)
     g = u[:, None] + (lam5 + lam7 - lam1[:, None]) / rho + h_mat + w_mat
     return (g - (g * weights).sum(axis=1, keepdims=True) / (weights.sum() + 2.0)) / 2.0
 
@@ -296,9 +349,13 @@ def residual_vectors(state, problem, volume=None):
     p = problem
     if volume is None:
         volume = _volume(state.u, p)
+    if state.classes is None:
+        w_sums = state.w_mat.sum(axis=0)
+    else:
+        w_sums = np.bincount(state.classes, state.w_mat, p.q.size)
     return (
-        (state.s_mat * state.weights).sum(axis=1) - state.u,
-        state.w_mat.sum(axis=0) - 1.0,
+        _offer_mass(state.s_mat, state.weights) - state.u,
+        w_sums - 1.0,
         p.d_matrix @ state.u - p.q,
         volume - state.gamma,
         state.h_mat - state.s_mat,
@@ -308,7 +365,7 @@ def residual_vectors(state, problem, volume=None):
 
 
 def _bpr_total(volume, problem):
-    return float(np.sum(bpr_terms(np.maximum(volume, 0.0), problem.t0_row, problem.w_row)))
+    return float(bpr_terms(np.maximum(volume, 0.0), problem.t0_row, problem.w_row).sum())
 
 
 def relaxed_objective(u, problem):
@@ -345,7 +402,7 @@ def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
     for block in order:
         if block == 0:
             state.u = u_update(state, p, rho, u_factor)
-            state.w_mat = w_update(state.s_mat, state.lam2, state.lam7, rho)
+            state.w_mat = w_update(state.s_mat, state.lam2, state.lam7, rho, state.classes)
             state.h_mat = h_update(state.s_mat, state.lam5, rho, cfg.lambda_reg)
             volume = None
         else:
@@ -360,11 +417,12 @@ def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
         volume = _volume(state.u, p)
 
     r1, r2, r3, r4, r5, r6, r7 = residual_vectors(state, p, volume)
-    root = state.root_weights
-    scaled = (r1, r2 * root, r3, r4, r5 * root, r6, r7 * root)
+    root = np.sqrt(state.weights)
+    sums_root = root if state.classes is None else np.sqrt(p.q)
+    scaled = (r1, r2 * sums_root, r3, r4, r5 * root, r6, r7 * root)
     # the norms read every block (each feeds some residual linearly), so a
     # NaN or inf anywhere shows up here; name the block before duals move
-    norms = np.array([np.sqrt(r.ravel().dot(r.ravel())) for r in scaled])
+    norms = np.array([math.sqrt(x.dot(x)) for x in (r.ravel() for r in scaled)])
     if not np.isfinite(norms).all():
         _check_finite(state, state.iteration)
 
@@ -385,20 +443,19 @@ def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
 def run_admm(problem, cfg=None):
     """Iterate to the relaxed solution; early exit once residuals pass tol.
 
-    S has one column per OD pair with q_k > 0, whatever ``problem.columns``
-    lists. The order of the two primal blocks is permuted each sweep by a
-    generator seeded from the config, so runs are reproducible.
+    The state is masked, whatever ``problem.columns`` lists. The order of
+    the two primal blocks is permuted each sweep by a generator seeded from
+    the config, so runs are reproducible.
     """
     cfg = cfg or AdmmConfig()
-    blocks = [np.nonzero(row > 0)[0] for row, q in zip(problem.d_matrix, problem.q) if q > 0]
-    state = initial_state(replace(problem, columns=blocks))
+    state = initial_state(problem, masked=True)
     u_factor = build_u_factor(problem)
     rng = np.random.default_rng(cfg.seed)
     converged = False
     for _ in range(cfg.max_iters):
-        order = tuple(rng.permutation(2))
+        order = rng.permutation(2).tolist()
         admm_iterate(state, problem, cfg, u_factor, order)
-        if np.max(state.residual_history[-1]) < cfg.residual_tol:
+        if state.residual_history[-1].max() < cfg.residual_tol:
             converged = True
             break
     return AdmmResult(

@@ -47,17 +47,22 @@ def bpr_terms(v, t0, w):
     return v * t0 * (1.0 + 0.15 * (v / w) ** 4)
 
 
+def _per_row(x, shape):
+    """``x`` as floats of the given shape; scalars are broadcast."""
+    x = np.asarray(x, dtype=float)
+    return x if x.shape == shape else np.broadcast_to(x, shape)
+
+
 def gamma_solve(m, lam, rho, t0, w):
     """Vectorized Newton for the volume prox, one root per row."""
     m = np.asarray(m, dtype=float).ravel()
     rho = float(rho)
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), m.shape)
-    t0 = np.broadcast_to(np.asarray(t0, dtype=float), m.shape)
-    w = np.broadcast_to(np.asarray(w, dtype=float), m.shape)
+    lam, t0, w = (_per_row(x, m.shape) for x in (lam, t0, w))
     quart = 0.75 * t0 / w**4
-    roots = np.zeros_like(m)
-    # only rows with a negative derivative at 0 have a positive root
-    active = t0 + quart * roots**4 - lam + rho * (roots - m) < 0.0
+    roots = np.zeros(m.shape)
+    # only rows with a negative derivative at 0, t0 - lam - rho m, have a
+    # positive root
+    active = t0 - lam - rho * m < 0.0
     m, lam, t0, quart = m[active], lam[active], t0[active], quart[active]
     quart4 = 4.0 * quart
     g = np.maximum(m, 0.0)

@@ -1,4 +1,4 @@
-"""Frozen copy of the per-driver ADMM sweep and volume-prox kernel.
+"""Frozen copies of the per-driver ADMM sweeps and volume-prox kernel.
 
 The package's sweep weights each S column by the drivers it stands for,
 computes A u + bg once per sweep and folds the finite check into the
@@ -8,6 +8,13 @@ single bit of any iterate. This module keeps the plain unweighted form
 every float is checked against: each block returns a fresh array, every
 formula is written out once, in the order the package evaluates it.
 
+``masked_start`` and ``masked_sweep`` keep the per-driver iteration the
+package's masked class run must equal: each driver's S, W, H, lam5 and
+lam7 live only on its own OD pair's block, one list entry per driver, and
+lam2 has one entry per driver. Drivers of one pair stay equal from the
+uniform start, so the package's one q_k-weighted entry per column must
+tell the same story to rounding.
+
 The package's prox is no longer this one: it runs plain Newton on
 compressed rows where ``gamma_solve`` here keeps the safeguarded,
 bracketed Newton over every row. Both stop at the same |phi| < 1e-10, so
@@ -16,8 +23,11 @@ runs the package's sweep with this prox substituted for its own.
 
 Kept separate from the package so it shares no code with what it checks;
 ``sweep`` takes the package's problem and state objects and the u-update
-inverse, nothing else.
+inverse, nothing else, and ``masked_sweep`` the package's problem and the
+u-update inverse.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -107,6 +117,115 @@ def sweep(state, problem, rho, lambda_reg, u_factor, order):
 
     state.iteration += 1
     state.residual_history.append(np.array([np.linalg.norm(r) for r in residuals]))
+    v = np.maximum(_volume(state.u, p), 0.0)
+    state.objective_history.append(
+        float(np.sum(v * p.t0_row * (1.0 + 0.15 * (v / p.w_row) ** 4)))
+    )
+    return state
+
+
+def masked_start(problem):
+    """Uniform mass over each driver's own block, duals at zero."""
+    p = problem
+    blocks = [np.asarray(allowed) for allowed in p.columns]
+    s = [np.full(b.size, 1.0 / b.size) for b in blocks]
+    zeros = [np.zeros(b.size) for b in blocks]
+    u = _scatter(blocks, s, p.a_matrix.shape[1])
+    return SimpleNamespace(
+        blocks=blocks,
+        u=u,
+        s=s,
+        w=[x.copy() for x in s],
+        h=[x.copy() for x in s],
+        gamma=_volume(u, p),
+        beta=max(0.0, p.budget - float(p.costs @ u)),
+        lam1=np.zeros(u.size),
+        lam2=np.zeros(len(blocks)),
+        lam3=np.zeros(p.q.size),
+        lam4=np.zeros(p.a_matrix.shape[0]),
+        lam5=list(zeros),
+        lam6=0.0,
+        lam7=list(zeros),
+        iteration=0,
+        residual_history=[],
+        objective_history=[],
+    )
+
+
+def _scatter(blocks, parts, n_cols):
+    """Per-column sum of every driver's block entries."""
+    total = np.zeros(n_cols)
+    for b, x in zip(blocks, parts):
+        total[b] += x
+    return total
+
+
+def masked_sweep(state, problem, rho, lambda_reg, u_factor, order):
+    """One masked per-driver sweep in the given block order."""
+    p = problem
+    blocks = state.blocks
+    n_cols = p.a_matrix.shape[1]
+    drivers = range(len(blocks))
+    for block in order:
+        if block == 0:
+            rhs = (
+                (state.lam1 - p.d_matrix.T @ state.lam3 - p.a_matrix.T @ state.lam4
+                 - state.lam6 * p.costs)
+                / rho
+                + _scatter(blocks, state.s, n_cols)
+                + p.d_matrix.T @ p.q
+                + p.a_matrix.T @ (state.gamma - p.background)
+                + (p.budget - state.beta) * p.costs
+            )
+            state.u = u_factor @ rhs
+            for n in drivers:
+                g = 1.0 + state.s[n] - (state.lam7[n] + state.lam2[n]) / rho
+                state.w[n] = g - g.sum() / (blocks[n].size + 1.0)
+                x = (rho * state.s[n] - state.lam5[n] - lambda_reg / 2.0) / (rho - lambda_reg)
+                state.h[n] = np.clip(x, 0.0, 1.0)
+        else:
+            # each column couples the drivers whose block holds it through
+            # one shared row sum: the rank-one inverse over those drivers
+            g = [
+                state.u[b] + (state.lam5[n] + state.lam7[n] - state.lam1[b]) / rho
+                + state.h[n] + state.w[n]
+                for n, b in enumerate(blocks)
+            ]
+            row_sum = _scatter(blocks, g, n_cols)
+            holders = _scatter(blocks, [np.ones(b.size) for b in blocks], n_cols)
+            state.s = [
+                (g[n] - row_sum[b] / (holders[b] + 2.0)) / 2.0 for n, b in enumerate(blocks)
+            ]
+            state.gamma = gamma_solve(_volume(state.u, p), state.lam4, rho, p.t0_row, p.w_row)
+            state.beta = max(0.0, p.budget - float(p.costs @ state.u) - state.lam6 / rho)
+
+    r1 = _scatter(blocks, state.s, n_cols) - state.u
+    r2 = np.array([x.sum() - 1.0 for x in state.w])
+    r3 = p.d_matrix @ state.u - p.q
+    r4 = _volume(state.u, p) - state.gamma
+    r5 = [h - s for h, s in zip(state.h, state.s)]
+    r6 = float(p.costs @ state.u) + state.beta - p.budget
+    r7 = [w - s for w, s in zip(state.w, state.s)]
+    state.lam1 = state.lam1 + rho * r1
+    state.lam2 = state.lam2 + rho * r2
+    state.lam3 = state.lam3 + rho * r3
+    state.lam4 = state.lam4 + rho * r4
+    state.lam5 = [lam + rho * r for lam, r in zip(state.lam5, r5)]
+    state.lam6 = state.lam6 + rho * r6
+    state.lam7 = [lam + rho * r for lam, r in zip(state.lam7, r7)]
+
+    state.iteration += 1
+    state.residual_history.append(
+        np.array([
+            np.linalg.norm(r1),
+            np.linalg.norm(r2),
+            np.linalg.norm(r3),
+            np.linalg.norm(r4),
+            np.linalg.norm(np.concatenate(r5)),
+            abs(r6),
+            np.linalg.norm(np.concatenate(r7)),
+        ])
+    )
     v = np.maximum(_volume(state.u, p), 0.0)
     state.objective_history.append(
         float(np.sum(v * p.t0_row * (1.0 + 0.15 * (v / p.w_row) ** 4)))

@@ -258,6 +258,73 @@ def test_closed_forms_minimize_their_blocks():
     assert (abs(slope) < 1e-9) or (beta_star == 0.0 and slope >= 0.0)
 
 
+def masked_augmented_lagrangian(problem, state, u, s, w, h, gamma, beta, rho, lambda_reg):
+    """Independent evaluation of the masked augmented Lagrangian: one entry
+    per offer column on its own OD pair, the per-driver terms summed over
+    each pair's q_k identical drivers."""
+    p = problem
+    pair = np.argmax(p.d_matrix > 0, axis=0)
+    q_col = p.q[pair]
+    f = float(np.sum(gamma * p.t0_row * (1.0 + 0.15 * (gamma / p.w_row) ** 4)))
+    reg = -lambda_reg / 2.0 * float(np.sum(q_col * h * (h - 1.0)))
+    r1 = q_col * s - u
+    r2 = np.array([w[pair == k].sum() for k in range(p.q.size)]) - 1.0
+    r3 = p.d_matrix @ u - p.q
+    r4 = p.a_matrix @ u + p.background - gamma
+    r5 = h - s
+    r6 = float(p.costs @ u) + beta - p.budget
+    r7 = w - s
+    value = f + reg + state.lam1 @ r1 + state.lam3 @ r3 + state.lam4 @ r4 + state.lam6 * r6
+    value += (rho / 2.0) * (r1 @ r1 + r3 @ r3 + r4 @ r4 + r6 * r6)
+    value += p.q @ (state.lam2 * r2 + (rho / 2.0) * r2 * r2)
+    value += q_col @ (state.lam5 * r5 + (rho / 2.0) * r5 * r5)
+    value += q_col @ (state.lam7 * r7 + (rho / 2.0) * r7 * r7)
+    return value
+
+
+def test_masked_closed_forms_minimize_their_blocks():
+    # the length-n_cols block updates at class weights q = (4, 1)
+    problem = small_problem(n_drivers=5)
+    rng = np.random.default_rng(9)
+    state = initial_state(problem, masked=True)
+    n_cols, rows = problem.num_columns, problem.a_matrix.shape[0]
+    assert state.s_mat.shape == (n_cols,) and np.array_equal(state.weights, [4, 4, 4, 4, 1, 1])
+    for name in ("u", "s_mat", "w_mat", "lam1", "lam5", "lam7"):
+        setattr(state, name, rng.normal(size=n_cols))
+    state.h_mat = rng.uniform(0, 1, size=n_cols)
+    state.gamma = np.abs(rng.normal(size=rows))
+    state.beta = float(rng.uniform(0, 1))
+    state.lam2 = rng.normal(size=problem.q.size)
+    state.lam3 = rng.normal(size=problem.q.size)
+    state.lam4 = rng.normal(size=rows)
+    state.lam6 = float(rng.normal())
+    rho, lam_reg = 1.3, 0.0
+
+    def lagrangian(**moved):
+        primal = dict(u=state.u, s=state.s_mat, w=state.w_mat, h=state.h_mat)
+        primal.update(moved)
+        return masked_augmented_lagrangian(
+            problem, state, gamma=state.gamma, beta=state.beta, rho=rho, lambda_reg=lam_reg, **primal
+        )
+
+    u_star = u_update(state, problem, rho, build_u_factor(problem))
+    assert np.max(np.abs(numeric_gradient(lambda u: lagrangian(u=u), u_star))) < 1e-6
+    w_star = w_update(state.s_mat, state.lam2, state.lam7, rho, state.classes)
+    assert np.max(np.abs(numeric_gradient(lambda w: lagrangian(w=w), w_star))) < 1e-6
+    s_star = s_update(
+        state.u, state.h_mat, state.w_mat, state.lam1, state.lam5, state.lam7, rho, state.weights
+    )
+    assert np.max(np.abs(numeric_gradient(lambda s: lagrangian(s=s), s_star))) < 1e-6
+
+
+def test_masked_layout_needs_each_column_on_one_pair():
+    good = small_problem()
+    for d_matrix in (good.d_matrix[:1], np.vstack([good.d_matrix, np.ones(6)])):
+        problem = replace(good, d_matrix=d_matrix, q=np.ones(d_matrix.shape[0]), columns=[np.arange(4)])
+        with pytest.raises(InputError, match="exactly one OD pair"):
+            initial_state(problem, masked=True)
+
+
 def test_s_update_rank_one_identity():
     problem = small_problem()
     state = randomized_state(problem, 5)
@@ -349,21 +416,42 @@ def test_single_driver_single_column_fixed_point():
     )
     res = run_admm(problem, AdmmConfig(rho=1.0, lambda_reg=0.0, max_iters=2000, residual_tol=1e-8))
     assert res.converged
-    assert res.s_relaxed[0, 0] == pytest.approx(1.0, abs=1e-6)
+    assert res.s_relaxed[0] == pytest.approx(1.0, abs=1e-6)
     assert res.u[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_residuals_trend_down_over_seeds():
+    # at lambda 0.5 some of these runs never converge and oscillate (seed 12
+    # among them), so one sampled sweep reads a crest or a trough by phase;
+    # the largest residual norm of the second half must be below that of
+    # the first, on every seed
     t_half = 150
-    ratios = []
     for seed in range(5):
         problem = small_problem(seed=seed + 10)
         cfg = AdmmConfig(rho=1.0, lambda_reg=0.5, max_iters=2 * t_half, residual_tol=0.0, seed=seed)
-        res = run_admm(problem, cfg)
-        early = np.linalg.norm(res.residuals[t_half - 1])
-        late = np.linalg.norm(res.residuals[2 * t_half - 1])
-        ratios.append(late / max(early, 1e-300))
-    assert np.mean(ratios) <= 1.0
+        norms = np.linalg.norm(run_admm(problem, cfg).residuals, axis=1)
+        assert norms[t_half:].max() < norms[:t_half].max(), seed
+
+
+def test_zero_demand_pairs_carry_no_offer_mass():
+    # at penetration 0.1 the 100-driver instance leaves 6 of its 13 OD pairs
+    # without drivers; their columns stay in the run at weight 0
+    problem = synthetic_problem(nodes=40, drivers=100, penetration=0.1)
+    empty = np.nonzero(problem.q == 0)[0]
+    assert (empty.size, problem.q.size) == (6, 13)
+    res = run_admm(problem)
+    assert res.converged
+    for k in empty:
+        assert abs(res.u[problem.d_matrix[k] > 0].sum()) < 1e-4, k
+
+
+def test_relaxation_at_2400_drivers_converges():
+    # 1,596 offer columns over 266 OD pairs; about 1,300 sweeps
+    problem = synthetic_problem(nodes=800, drivers=2400)
+    cfg = AdmmConfig()
+    res = run_admm(problem, cfg)
+    assert res.converged and res.iterations < cfg.max_iters
+    assert np.all(res.residuals[-1] < cfg.residual_tol)
 
 
 def test_zero_budget_concentrates_on_free_offers():
@@ -539,9 +627,12 @@ def test_u_fixed_point_at_convergence():
     assert np.max(np.abs(u_again - res.state.u)) < 1e-6
 
 
-def readme_problem():
-    """The README generator at 6 drivers (seed 7) with budget 100."""
-    pipe = prepare(generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7))
+def synthetic_problem(nodes, drivers, penetration=None):
+    """The README generator (seed 7) with budget 100."""
+    pipe = prepare(
+        generate_synthetic(nodes=nodes, richness=2, tightness=1.3, drivers=drivers, seed=7),
+        penetration=penetration,
+    )
     return AdmmProblem(
         a_matrix=pipe.a_matrix,
         d_matrix=pipe.demand.d_matrix,
@@ -553,6 +644,11 @@ def readme_problem():
         columns=pipe.columns,
         background=pipe.background,
     )
+
+
+def readme_problem():
+    """The README generator at 6 drivers (seed 7) with budget 100."""
+    return synthetic_problem(nodes=8, drivers=6)
 
 
 STATE_ARRAYS = (
@@ -621,17 +717,22 @@ def test_sweep_is_bit_identical_to_frozen_reference(make_problem, rho, lambda_re
         (readme_problem, 0.5, 40),
     ],
 )
-def test_class_run_matches_per_driver_iteration(make_problem, lambda_reg, max_iters):
-    # run_admm carries one weighted column per OD pair; a hand loop over the
-    # per-driver state with the same block orders must tell the same story
+def test_class_run_matches_per_driver_iteration(make_problem, lambda_reg, max_iters, monkeypatch):
+    # run_admm carries one q_k-weighted entry per offer column, on its own
+    # OD pair only; the frozen masked per-driver loop, one unit-weight
+    # driver per problem.columns entry, with the same block orders and the
+    # same prox, must tell the same story
+    monkeypatch.setattr("flowincentives.admm.gamma_solve", admm_reference.gamma_solve)
     problem = make_problem()
     cfg = AdmmConfig(rho=1.0, lambda_reg=lambda_reg, max_iters=max_iters, seed=6)
     result = run_admm(problem, cfg)
     factor = build_u_factor(problem)
-    state = initial_state(problem)
+    state = admm_reference.masked_start(problem)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.max_iters):
-        admm_iterate(state, problem, cfg, factor, tuple(rng.permutation(2)))
+        admm_reference.masked_sweep(
+            state, problem, cfg.rho, cfg.lambda_reg, factor, tuple(rng.permutation(2))
+        )
         if np.max(state.residual_history[-1]) < cfg.residual_tol:
             break
     assert result.iterations == state.iteration
@@ -641,8 +742,7 @@ def test_class_run_matches_per_driver_iteration(make_problem, lambda_reg, max_it
     per_driver = np.array(state.residual_history)
     assert np.all(np.abs(result.residuals - per_driver) <= 1e-9 * per_driver.max(axis=0))
     assert np.allclose(result.objectives, state.objective_history, rtol=1e-9, atol=0.0)
-    assert result.state.s_mat.shape == (problem.num_columns, int(np.sum(problem.q > 0)))
-    assert state.s_mat.shape == (problem.num_columns, problem.num_drivers)
+    assert result.state.s_mat.shape == (problem.num_columns,)
 
 
 def test_gamma_solve_meets_first_order_condition_near_frozen_reference():

@@ -593,6 +593,8 @@ def run_experiment(
                 "alpha_retries": retries,
                 "mip_status": report1.status,
                 "mip_gap": report1.gap,
+                "mip_nodes": report1.nodes,
+                "lp_pivots": report1.pivots,
                 "expected_free_flow_hours": report1.objective,
             }
         )

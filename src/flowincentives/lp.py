@@ -1,14 +1,29 @@
 """Desk-scale linear programming and integer branch-and-bound.
 
-The LP solver is a dense two-phase tableau simplex with Bland's rule, which
-trades speed for guaranteed termination; instances here are small (tens of
-rows and a few hundred columns). The MIP solver runs depth-first
-branch-and-bound on LP relaxations over general bounded integers (a binary
-is an integer with ub = 1), splitting on floor / ceil of the most
-fractional variable and diving into the child with the lower bound first,
-with deterministic tie-breaking, so repeated solves of the same instance
-return the same incumbent. A node is dropped once its bound cannot beat
-the incumbent by more than the requested relative gap. It serves the
+The LP solver is a dense bounded-variable tableau simplex. Every row gets
+one logical column (a slack in [0, inf) for an inequality row, a column
+fixed at 0 for an equality row), and bounds never become rows: a nonbasic
+column sits at its lower or at its upper bound, and the tableau is
+B^-1 [A I] with one row per constraint. A cold solve is a two-phase
+bounded primal simplex: phase 1 starts every column at its lower bound
+and minimises the sum of one artificial per row, phase 2 the real costs.
+Both phases, and the dual simplex below, use Bland's rule (lowest index on
+every choice and tie), which trades speed for guaranteed termination;
+instances here are small (hundreds of rows and columns).
+
+The MIP solver runs depth-first branch-and-bound on LP relaxations over
+general bounded integers (a binary is an integer with ub = 1), splitting
+on floor / ceil of the most fractional variable and diving into the child
+with the lower bound first, with deterministic tie-breaking, so repeated
+solves of the same instance return the same incumbent. A child differs
+from its parent by one bound, so the parent's optimal basis stays dual
+feasible for it and a bounded dual simplex re-optimises the child from
+there; a row that has no eligible entering column proves the child
+infeasible. Memory stays at about one tableau: the child explored next
+reuses its parent's tableau, and the deferred sibling keeps only its basis
+(basic columns and at-upper flags), from which its tableau is refactored
+when it is popped. A node is dropped once its bound cannot beat the
+incumbent by more than the requested relative gap. It serves the
 free-flow MILP of scenario 1 only, which chooses per-column offer counts,
 not per-driver binaries; the admm model's rounding is a DP in
 ``admm.round_counts``.
@@ -22,9 +37,10 @@ import numpy as np
 
 from .errors import InputError
 
-_PIVOT_TOL = 1e-10
+_PIVOT_TOL = 1e-9
 _REDUCED_COST_TOL = 1e-9
-_FEAS_TOL = 1e-8
+_FEAS_TOL = 1e-9
+_TIE_TOL = 1e-12
 _INT_TOL = 1e-6
 _MAX_PIVOTS = 200_000
 
@@ -73,9 +89,15 @@ class LinearProgram:
 
 @dataclass
 class LpResult:
+    """``basis`` is the optimal basis as (basic columns, at-upper flags)
+    over the structural columns followed by one logical per row (the
+    inequality rows first); ``pivots`` counts basis changes."""
+
     status: str  # optimal | infeasible | unbounded
     x: np.ndarray = None
     objective: float = np.nan
+    pivots: int = 0
+    basis: tuple = None
 
 
 @dataclass
@@ -86,6 +108,7 @@ class MipResult:
     dropped inside the requested relative gap, ``iteration-limit`` that the
     node budget ran out; in the last two cases ``x`` is the incumbent, which
     is None when the node budget ran out before any integer point was found.
+    ``pivots`` counts the simplex pivots of the root and every node LP.
     """
 
     status: str
@@ -93,117 +116,233 @@ class MipResult:
     objective: float = np.nan
     gap: float = np.inf
     nodes: int = 0
+    pivots: int = 0
 
 
-def _pivot(tableau, cost_row, basis, row, col):
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
-    if abs(cost_row[col]) > 0.0:
-        cost_row -= cost_row[col] * tableau[row]
-    basis[row] = col
+class _Form:
+    """The rows [a_ub; a_eq] with an identity of logical columns appended,
+    their right-hand side, the costs padded with zeros, and the logicals'
+    bounds."""
+
+    def __init__(self, lp):
+        a = np.vstack([lp.a_ub, lp.a_eq])
+        m = a.shape[0]
+        self.n = lp.num_vars
+        self.a = np.hstack([a, np.eye(m)])
+        self.b = np.concatenate([lp.b_ub, lp.b_eq])
+        self.c = np.concatenate([lp.c, np.zeros(m)])
+        self.logical_ub = np.concatenate([np.full(lp.b_ub.size, np.inf), np.zeros(lp.b_eq.size)])
+        self.feas_tol = _FEAS_TOL * max(1.0, float(np.max(np.abs(self.b), initial=0.0)))
+
+    def bounds(self, lb, ub):
+        """Full-length (lower, upper) bounds for structural bounds lb, ub."""
+        m = self.b.size
+        return np.concatenate([lb, np.zeros(m)]), np.concatenate([ub, self.logical_ub])
 
 
-def _run_simplex(tableau, cost_row, basis, allowed_cols):
-    """Bland's-rule simplex on a tableau in canonical form; mutates inputs."""
+class _Tableau:
+    """B^-1 [A I], the basic values and the reduced costs of one basis.
+
+    Every nonbasic column sits at ``lo`` or, where ``at_upper`` says so, at
+    ``hi``; ``beta`` holds the basic columns' values.
+    """
+
+    def __init__(self, form, lo, hi, basis, at_upper, t, beta):
+        self.form, self.lo, self.hi = form, lo, hi
+        self.basis, self.at_upper, self.t, self.beta = basis, at_upper, t, beta
+        self.d = None
+
+    @classmethod
+    def factor(cls, form, lo, hi, basis, at_upper):
+        """Refactor the tableau of a basis from the original rows."""
+        b_inv = np.linalg.inv(form.a[:, basis])
+        nonbasic = np.where(at_upper, hi, lo)
+        nonbasic[basis] = 0.0
+        beta = b_inv @ (form.b - form.a @ nonbasic)
+        tab = cls(form, lo, hi, basis.copy(), at_upper.copy(), b_inv @ form.a, beta)
+        tab.price(form.c)
+        return tab
+
+    def price(self, c):
+        self.d = c - c[self.basis] @ self.t
+        self.d[self.basis] = 0.0
+
+    def copy(self):
+        names = ("lo", "hi", "basis", "at_upper", "t", "beta")
+        other = _Tableau(self.form, *(getattr(self, name).copy() for name in names))
+        other.d = self.d.copy()
+        return other
+
+    def structurals(self):
+        x = np.where(self.at_upper, self.hi, self.lo)
+        x[self.basis] = self.beta
+        return x[: self.form.n]
+
+    def movable(self):
+        """Nonbasic columns with room between their bounds."""
+        free = self.hi > self.lo
+        free[self.basis] = False
+        return free
+
+    def set_bounds(self, j, lo_j, hi_j):
+        """New bounds on column j; a nonbasic j keeps its side."""
+        if j not in self.basis:
+            old = self.hi[j] if self.at_upper[j] else self.lo[j]
+            new = hi_j if self.at_upper[j] else lo_j
+            self.beta -= (new - old) * self.t[:, j]
+        self.lo[j], self.hi[j] = lo_j, hi_j
+
+    def pivot(self, r, j, delta, leave_upper):
+        """Move column j by delta and swap it into row r's place; the
+        leaving column becomes nonbasic at its upper bound if leave_upper."""
+        col = self.t[:, j].copy()
+        entering_value = (self.hi[j] if self.at_upper[j] else self.lo[j]) + delta
+        self.beta -= delta * col
+        self.at_upper[self.basis[r]] = leave_upper
+        self.at_upper[j] = False
+        row = self.t[r] / col[r]
+        col[r] = 0.0
+        rows = np.flatnonzero(col)
+        self.t[rows] -= np.outer(col[rows], row)
+        self.t[r] = row
+        self.d -= self.d[j] * row
+        self.basis[r] = j
+        self.beta[r] = entering_value
+
+
+def _primal_simplex(tab):
+    """Bounded primal simplex with Bland's rule from a feasible basis.
+
+    Returns (status, pivots); status is optimal or unbounded.
+    """
+    pivots = 0
     for _ in range(_MAX_PIVOTS):
-        entering = -1
-        for j in allowed_cols:
-            if cost_row[j] < -_REDUCED_COST_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
-        rows = np.where(tableau[:, entering] > _PIVOT_TOL)[0]
-        if rows.size == 0:
-            return "unbounded"
-        ratios = tableau[rows, -1] / tableau[rows, entering]
-        best = np.min(ratios)
-        # ties leave the basic variable with the smallest index (Bland)
-        candidates = rows[ratios <= best + 1e-12]
-        leaving = min(candidates, key=lambda i: basis[i])
-        _pivot(tableau, cost_row, basis, leaving, entering)
+        movable = tab.movable()
+        up = movable & ~tab.at_upper & (tab.d < -_REDUCED_COST_TOL)
+        down = movable & tab.at_upper & (tab.d > _REDUCED_COST_TOL)
+        eligible = np.flatnonzero(up | down)
+        if eligible.size == 0:
+            return "optimal", pivots
+        j = eligible[0]
+        direction = 1.0 if up[j] else -1.0
+        col = direction * tab.t[:, j]  # the basic values move by -col per unit step
+        lo_b, hi_b = tab.lo[tab.basis], tab.hi[tab.basis]
+        ratios = np.full(col.size, np.inf)
+        falling = col > _PIVOT_TOL
+        ratios[falling] = (tab.beta[falling] - lo_b[falling]) / col[falling]
+        rising = (col < -_PIVOT_TOL) & np.isfinite(hi_b)
+        ratios[rising] = (hi_b[rising] - tab.beta[rising]) / -col[rising]
+        ratios = np.maximum(ratios, 0.0)
+        step = float(np.min(ratios, initial=np.inf))
+        span = tab.hi[j] - tab.lo[j]
+        if span <= step:
+            if not np.isfinite(span):
+                return "unbounded", pivots
+            # the entering column reaches its other bound first: no pivot
+            tab.beta -= direction * span * tab.t[:, j]
+            tab.at_upper[j] = not tab.at_upper[j]
+            continue
+        ties = np.flatnonzero(ratios <= step + _TIE_TOL)
+        r = ties[np.argmin(tab.basis[ties])]
+        tab.pivot(r, j, direction * step, leave_upper=bool(col[r] < 0))
+        pivots += 1
     raise RuntimeError("simplex exceeded the pivot budget")
 
 
-def _reduced_cost_row(c_ext, tableau, basis):
-    row = c_ext.copy()
-    for i, b in enumerate(basis):
-        if abs(row[b]) > 0.0:
-            row -= row[b] * tableau[i]
-    return row
+def _dual_simplex(tab):
+    """Bounded dual simplex with Bland's rule from a dual-feasible basis.
+
+    Returns (status, pivots); status is optimal or infeasible.
+    """
+    pivots = 0
+    for _ in range(_MAX_PIVOTS):
+        lo_b, hi_b = tab.lo[tab.basis], tab.hi[tab.basis]
+        above = tab.beta - hi_b
+        excess = np.maximum(lo_b - tab.beta, above)
+        bad = np.flatnonzero(excess > tab.form.feas_tol)
+        if bad.size == 0:
+            return "optimal", pivots
+        r = bad[np.argmin(tab.basis[bad])]
+        too_high = above[r] > 0
+        # a column may enter if moving it off its bound pushes row r back
+        # toward the bound it broke
+        push = tab.t[r] if too_high else -tab.t[r]
+        push = np.where(tab.at_upper, -push, push)
+        eligible = np.flatnonzero(tab.movable() & (push > _PIVOT_TOL))
+        if eligible.size == 0:
+            return "infeasible", pivots
+        ratios = np.abs(tab.d[eligible]) / push[eligible]
+        j = eligible[np.argmax(ratios <= ratios.min() + _TIE_TOL)]
+        target = hi_b[r] if too_high else lo_b[r]
+        tab.pivot(r, j, (tab.beta[r] - target) / tab.t[r, j], leave_upper=bool(too_high))
+        pivots += 1
+    raise RuntimeError("simplex exceeded the pivot budget")
 
 
 def solve_lp(lp):
-    """Two-phase dense simplex. Distinguishes infeasible from unbounded."""
-    n = lp.num_vars
-    shift = lp.lb
-    # work in y = x - lb >= 0; finite upper bounds become explicit rows
-    ub_rows = np.where(np.isfinite(lp.ub))[0]
-    m_ub, m_eq, m_bd = lp.b_ub.size, lp.b_eq.size, ub_rows.size
-    n_slack = m_ub + m_bd
-    a = np.zeros((m_ub + m_bd + m_eq, n + n_slack))
-    b = np.zeros(m_ub + m_bd + m_eq)
-    if m_ub:
-        a[:m_ub, :n] = lp.a_ub
-        b[:m_ub] = lp.b_ub - lp.a_ub @ shift
-    for k, j in enumerate(ub_rows):
-        a[m_ub + k, j] = 1.0
-        b[m_ub + k] = lp.ub[j] - shift[j]
-    if m_eq:
-        a[m_ub + m_bd :, :n] = lp.a_eq
-        b[m_ub + m_bd :] = lp.b_eq - lp.a_eq @ shift
-    for i in range(n_slack):
-        a[i, n + i] = 1.0
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
+    """Cold two-phase bounded simplex. Distinguishes infeasible from
+    unbounded."""
+    form = _Form(lp)
+    lo, hi = form.bounds(lp.lb, lp.ub)
+    m, n_cols = form.b.size, form.c.size
+    # phase 1: one artificial column per row, signed so that it starts at
+    # the row's |residual| while every other column sits at its lower bound
+    residual = form.b - form.a @ lo
+    sign = np.where(residual < 0, -1.0, 1.0)
+    tab = _Tableau(
+        form,
+        np.concatenate([lo, np.zeros(m)]),
+        np.concatenate([hi, np.full(m, np.inf)]),
+        np.arange(n_cols, n_cols + m),
+        np.zeros(n_cols + m, dtype=bool),
+        np.hstack([sign[:, None] * form.a, np.eye(m)]),
+        np.abs(residual),
+    )
+    tab.price(np.concatenate([np.zeros(n_cols), np.ones(m)]))
+    _, pivots = _primal_simplex(tab)
+    artificial_rows = np.flatnonzero(tab.basis >= n_cols)
+    if tab.beta[artificial_rows].sum() > form.feas_tol:
+        return LpResult(status="infeasible", pivots=pivots)
+    # pivot the artificials left at zero out of the basis; [A I] has full
+    # row rank, so each row has a nonzero entry off the artificials
+    for r in artificial_rows:
+        tab.pivot(r, int(np.argmax(np.abs(tab.t[r, :n_cols]))), 0.0, leave_upper=False)
+    tab.lo, tab.hi, tab.at_upper = lo, hi, tab.at_upper[:n_cols]
+    tab.t = np.ascontiguousarray(tab.t[:, :n_cols])
+    tab.price(form.c)
+    status, more = _primal_simplex(tab)
+    pivots += more
+    if status != "optimal":
+        return LpResult(status=status, pivots=pivots)
+    x = tab.structurals()
+    basis = (tab.basis, tab.at_upper)
+    return LpResult(status="optimal", x=x, objective=float(lp.c @ x), pivots=pivots, basis=basis)
 
-    m = b.size
-    n_total = n + n_slack
-    # phase 1: artificial variables, minimize their sum; infeasibility is
-    # judged relative to the row scale so huge right-hand sides don't trip
-    # the absolute tolerance
-    tableau = np.hstack([a, np.eye(m), b[:, None]])
-    basis = list(range(n_total, n_total + m))
-    c1 = np.zeros(n_total + m + 1)
-    c1[n_total : n_total + m] = 1.0
-    cost_row = _reduced_cost_row(c1, tableau, basis)
-    status = _run_simplex(tableau, cost_row, basis, range(n_total))
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    if status != "optimal" or -cost_row[-1] > _FEAS_TOL * scale:
-        return LpResult(status="infeasible")
-    # drive artificials out of the basis; rows that cannot pivot are redundant
-    drop_rows = []
-    for i in range(m):
-        if basis[i] >= n_total:
-            pivot_col = -1
-            for j in range(n_total):
-                if abs(tableau[i, j]) > _PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                drop_rows.append(i)
-            else:
-                _pivot(tableau, cost_row, basis, i, pivot_col)
-    if drop_rows:
-        keep = [i for i in range(m) if i not in set(drop_rows)]
-        tableau = tableau[keep]
-        basis = [basis[i] for i in keep]
 
-    tableau = np.hstack([tableau[:, :n_total], tableau[:, -1:]])
-    c2 = np.zeros(n_total + 1)
-    c2[:n] = lp.c
-    cost_row = _reduced_cost_row(c2, tableau, basis)
-    status = _run_simplex(tableau, cost_row, basis, range(n_total))
-    if status == "unbounded":
-        return LpResult(status="unbounded")
-    y = np.zeros(n_total)
-    for i, bv in enumerate(basis):
-        y[bv] = tableau[i, -1]
-    x = y[:n] + shift
-    return LpResult(status="optimal", x=x, objective=float(lp.c @ x))
+def _branch(tab, j, value, c, cutoff):
+    """Split a node's tableau on x_j <= floor(value) and x_j >= ceil(value)
+    and re-optimise both children by the dual simplex, the up child in
+    place. Returns the stack entries of the children whose bound is below
+    ``cutoff``, in the order they are explored (the lower bound first, the
+    down child on ties), the tableau of the first, and the pivots spent.
+    """
+    down = tab.copy()
+    down.set_bounds(j, down.lo[j], np.floor(value))
+    tab.set_bounds(j, np.ceil(value), tab.hi[j])
+    kept, pivots = [], 0
+    for child in (down, tab):
+        status, child_pivots = _dual_simplex(child)
+        pivots += child_pivots
+        if status == "optimal":
+            x = child.structurals()
+            if c @ x < cutoff:
+                kept.append((float(c @ x), x, child))
+    kept.sort(key=lambda entry: entry[0])
+    entries = [
+        (bound, child.lo, child.hi, x, (child.basis.copy(), child.at_upper.copy()))
+        for bound, x, child in kept
+    ]
+    return entries, (kept[0][2] if kept else None), pivots
 
 
 def solve_binary_mip(lp, binary_vars, rel_gap=0.01, node_limit=100_000):
@@ -213,12 +352,12 @@ def solve_binary_mip(lp, binary_vars, rel_gap=0.01, node_limit=100_000):
     binary is an integer with ub = 1. A node whose relaxation leaves x_j
     fractional splits into x_j <= floor(x_j) and x_j >= ceil(x_j), on the
     variable whose fractional part is closest to one half (lowest index on
-    ties). Both children are solved, and the one with the lower bound is
-    explored first (the down child on ties). A node is dropped when its
-    bound is at least the incumbent minus 1e-9, or when an incumbent
-    exists and (upper - bound) / max(|upper|, eps) <= rel_gap; the
-    returned gap is measured from the least bound dropped by the second
-    rule.
+    ties). Both children are re-optimised from the node's basis by the
+    dual simplex, and the one with the lower bound is explored first (the
+    down child on ties). A node is dropped when its bound is at least the
+    incumbent minus 1e-9, or when an incumbent exists and (upper - bound) /
+    max(|upper|, eps) <= rel_gap; the returned gap is measured from the
+    least bound dropped by the second rule.
     """
     int_vars = np.array(sorted(set(int(j) for j in binary_vars)), dtype=int)
     if rel_gap < 0:
@@ -233,23 +372,25 @@ def solve_binary_mip(lp, binary_vars, rel_gap=0.01, node_limit=100_000):
             return 0.0
         return (upper - lower) / max(abs(upper), 1e-12)
 
-    def relax(lb, ub):
-        node = LinearProgram(
-            c=lp.c, a_ub=lp.a_ub, b_ub=lp.b_ub, a_eq=lp.a_eq, b_eq=lp.b_eq, lb=lb, ub=ub
-        )
-        return solve_lp(node)
-
-    res = relax(lp.lb, lp.ub)
+    res = solve_lp(lp)
     if res.status == "infeasible":
-        return MipResult(status="infeasible")
+        return MipResult(status="infeasible", pivots=res.pivots)
     if res.status == "unbounded":
         raise RuntimeError("relaxation is unbounded; bound the continuous variables")
-    stack = [(res.objective, lp.lb, lp.ub, res.x)]
+    form = _Form(lp)
+    lo, hi = form.bounds(lp.lb, lp.ub)
+    # stack entries: (bound, lo, hi, x, basis); ``warm`` is the tableau of
+    # the entry on top of the stack (the child explored next) or None, and
+    # any other entry is refactored from its basis when it is popped
+    stack = [(res.objective, lo, hi, res.x, res.basis)]
+    warm = None
     dropped = np.inf  # least bound dropped inside the gap
     nodes = 0
+    pivots = res.pivots
 
     while stack:
-        bound, node_lb, node_ub, x_rel = stack.pop()
+        bound, node_lo, node_hi, x_rel, basis = stack.pop()
+        tab, warm = warm, None
         if bound >= upper - 1e-9:
             continue
         if relative_gap(bound) <= rel_gap:
@@ -264,6 +405,7 @@ def solve_binary_mip(lp, binary_vars, rel_gap=0.01, node_limit=100_000):
                 objective=upper,
                 gap=relative_gap(lower),
                 nodes=nodes,
+                pivots=pivots,
             )
         values = x_rel[int_vars]
         frac = values - np.floor(values)
@@ -275,24 +417,16 @@ def solve_binary_mip(lp, binary_vars, rel_gap=0.01, node_limit=100_000):
                 upper = obj
                 incumbent = x_int
             continue
+        if tab is None:
+            tab = _Tableau.factor(form, node_lo, node_hi, *basis)
         # most fractional: part closest to 0.5, ties to the lowest index
         pos = int(np.argmax(0.5 - np.abs(frac - 0.5)))
-        branch = int_vars[pos]
-        down_ub = node_ub.copy()
-        down_ub[branch] = np.floor(values[pos])
-        up_lb = node_lb.copy()
-        up_lb[branch] = np.ceil(values[pos])
-        children = []
-        for child_lb, child_ub in ((node_lb, down_ub), (up_lb, node_ub)):
-            child_res = relax(child_lb, child_ub)
-            if child_res.status == "optimal" and child_res.objective < upper - 1e-9:
-                children.append((child_res.objective, child_lb, child_ub, child_res.x))
-        # the lower-bound child goes on top of the stack, the down child on ties
-        children.sort(key=lambda child: child[0])
+        children, warm, child_pivots = _branch(tab, int_vars[pos], values[pos], lp.c, upper - 1e-9)
+        pivots += child_pivots
         stack.extend(reversed(children))
 
     if incumbent is None:
-        return MipResult(status="infeasible", nodes=nodes)
+        return MipResult(status="infeasible", nodes=nodes, pivots=pivots)
     gap = relative_gap(dropped)
     status = "gap-limit" if gap > 1e-9 else "optimal"
-    return MipResult(status=status, x=incumbent, objective=upper, gap=gap, nodes=nodes)
+    return MipResult(status=status, x=incumbent, objective=upper, gap=gap, nodes=nodes, pivots=pivots)

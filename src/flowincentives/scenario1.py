@@ -64,6 +64,8 @@ class Scenario1Report:
     offer_counts: dict  # dollar amount -> number of offers
     status: str
     gap: float
+    nodes: int  # branch-and-bound nodes
+    pivots: int  # simplex pivots over the root and every node LP
 
 
 def build_scenario1(routes, probabilities, location, demand, net, cfg, background=None, columns=None):
@@ -128,6 +130,21 @@ def candidate_binding_rows(model, a_matrix):
     return [(int(r % model.num_links), int(r // model.num_links)) for r in violated]
 
 
+def _check_counts(model, counts):
+    """Raise AssertionError unless the counts are nonnegative integers that
+    meet every OD pair's demand exactly and every kept row of the MILP (the
+    budget and the capacity rows) to within 1e-6."""
+    if np.any(counts < 0) or not np.array_equal(counts, np.round(counts)):
+        raise AssertionError("scenario-1 counts are not nonnegative integers")
+    if not np.array_equal(model.demand.d_matrix @ counts, model.demand.q):
+        raise AssertionError("scenario-1 counts do not meet the per-OD demand")
+    excess = model.lp.a_ub @ counts - model.lp.b_ub
+    if excess[0] > 1e-6:
+        raise AssertionError("scenario-1 solution exceeds the budget")
+    if np.any(excess[1:] > 1e-6):
+        raise AssertionError("scenario-1 solution exceeds a capacity row")
+
+
 def solve_scenario1(model, menu, a_matrix, rel_gap=None, node_limit=200_000):
     """Solve the built MILP and deal the optimal offer counts to drivers.
 
@@ -148,10 +165,9 @@ def solve_scenario1(model, menu, a_matrix, rel_gap=None, node_limit=200_000):
     if res.x is None:
         raise SolverLimitError("node_limit", node_limit)
     counts = res.x
+    _check_counts(model, counts)
     s_mat = deal_counts(counts, model.demand)
     cost_used = float(model.costs @ counts)
-    if cost_used > model.lp.b_ub[0] + 1e-6:
-        raise AssertionError("scenario-1 solution exceeds the budget")
     return Scenario1Report(
         assignment=s_mat,
         objective=float(model.free_flow_cost @ counts),
@@ -159,4 +175,6 @@ def solve_scenario1(model, menu, a_matrix, rel_gap=None, node_limit=200_000):
         offer_counts=amount_tally(menu, counts),
         status=res.status,
         gap=res.gap,
+        nodes=res.nodes,
+        pivots=res.pivots,
     )

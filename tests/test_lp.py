@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowincentives.errors import InputError
-from flowincentives.lp import LinearProgram, solve_binary_mip, solve_lp
+from flowincentives.lp import LinearProgram, _dual_simplex, _Form, _Tableau, solve_binary_mip, solve_lp
 
 
 def vertex_enumeration_optimum(c, a_ub, b_ub, ub):
@@ -223,3 +223,104 @@ def test_iteration_limit_returns_incumbent():
     assert res.status in ("iteration-limit", "optimal")
     if res.status == "iteration-limit":
         assert res.gap > 0 or res.x is not None
+
+
+def _reoptimise_child(lp, parent, j, lb, ub):
+    """Child statuses and objectives from the parent's optimal basis, along
+    both warm paths of the branch-and-bound: a tableau refactored from the
+    basis (a deferred sibling) and the parent's tableau with one bound
+    changed in place (the child explored next)."""
+    form = _Form(lp)
+    lo, hi = form.bounds(lb, ub)
+    refactored = _Tableau.factor(form, lo, hi, *parent.basis)
+    in_place = _Tableau.factor(form, *form.bounds(lp.lb, lp.ub), *parent.basis)
+    in_place.set_bounds(j, lb[j], ub[j])
+    outcomes = []
+    for tab in (refactored, in_place):
+        status, _ = _dual_simplex(tab)
+        outcomes.append((status, float(lp.c @ tab.structurals()) if status == "optimal" else None))
+    return outcomes
+
+
+def _assert_warm_equals_cold(lp, j, lb, ub):
+    parent = solve_lp(lp)
+    child = LinearProgram(c=lp.c, a_ub=lp.a_ub, b_ub=lp.b_ub, a_eq=lp.a_eq, b_eq=lp.b_eq, lb=lb, ub=ub)
+    cold = solve_lp(child)
+    for status, objective in _reoptimise_child(lp, parent, j, lb, ub):
+        assert status == cold.status
+        if status == "optimal":
+            assert objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+    return cold.status
+
+
+def test_warm_child_equals_cold_solve_on_random_bounded_lps():
+    # tighten one fractional basic variable's bound, re-optimise from the
+    # parent's basis with the dual simplex, and compare with a cold solve
+    rng = np.random.default_rng(13)
+    statuses = []
+    for _ in range(40):
+        n = int(rng.integers(5, 11))
+        m = int(rng.integers(2, 6))
+        a_ub = rng.normal(size=(m, n))
+        a_eq = rng.uniform(0.0, 1.0, size=(1, n))
+        lb = rng.integers(0, 2, size=n).astype(float)
+        ub = lb + rng.integers(1, 4, size=n)
+        x0 = rng.uniform(lb, ub)
+        lp = LinearProgram(
+            c=rng.normal(size=n),
+            a_ub=a_ub,
+            b_ub=a_ub @ x0 + rng.uniform(0.0, 0.5, size=m),
+            a_eq=a_eq,
+            b_eq=a_eq @ x0,
+            lb=lb,
+            ub=ub,
+        )
+        parent = solve_lp(lp)
+        assert parent.status == "optimal"
+        basic = parent.basis[0][parent.basis[0] < n]
+        frac = parent.x[basic] - np.floor(parent.x[basic])
+        fractional = basic[(frac > 1e-6) & (frac < 1 - 1e-6)]
+        if fractional.size == 0:
+            continue
+        j = int(fractional[0])
+        down_ub, up_lb = ub.copy(), lb.copy()
+        down_ub[j] = np.floor(parent.x[j])
+        up_lb[j] = np.ceil(parent.x[j])
+        statuses.append(_assert_warm_equals_cold(lp, j, lb, down_ub))
+        statuses.append(_assert_warm_equals_cold(lp, j, up_lb, ub))
+    assert statuses.count("optimal") >= 20
+    assert statuses.count("infeasible") >= 3
+
+
+def test_warm_child_of_degenerate_lps_terminates():
+    # Beale's cycling example, boxed, and zero-cost programs, where every
+    # entering column ties in the dual ratio test; Bland's rule must end
+    # both passes within the pivot budget
+    c = np.array([-0.75, 150.0, -0.02, 6.0])
+    a_ub = np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    lp = LinearProgram(c=c, a_ub=a_ub, b_ub=[0.0, 0.0, 1.0], ub=np.ones(4))
+    parent = solve_lp(lp)
+    assert parent.objective == pytest.approx(-0.05)
+    assert parent.x[0] == pytest.approx(0.04)
+    _assert_warm_equals_cold(lp, 0, lp.lb, np.array([0.0, 1.0, 1.0, 1.0]))
+    _assert_warm_equals_cold(lp, 0, np.array([1.0, 0.0, 0.0, 0.0]), lp.ub)
+
+    rng = np.random.default_rng(5)
+    statuses = []
+    for _ in range(20):
+        n, m = 8, 5
+        a_ub = rng.integers(-2, 3, size=(m, n)).astype(float)
+        lp = LinearProgram(
+            c=np.zeros(n), a_ub=a_ub, b_ub=np.zeros(m), a_eq=np.ones((1, n)), b_eq=[2.5], ub=np.ones(n)
+        )
+        parent = solve_lp(lp)
+        if parent.status != "optimal":
+            continue
+        j = int(np.argmax(np.minimum(parent.x, 1.0 - parent.x)))
+        if min(parent.x[j], 1.0 - parent.x[j]) < 1e-6:
+            continue
+        down_ub, up_lb = lp.ub.copy(), lp.lb.copy()
+        down_ub[j], up_lb[j] = 0.0, 1.0
+        statuses.append(_assert_warm_equals_cold(lp, j, lp.lb, down_ub))
+        statuses.append(_assert_warm_equals_cold(lp, j, up_lb, lp.ub))
+    assert set(statuses) == {"optimal", "infeasible"}

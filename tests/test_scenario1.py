@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from flowincentives.harness import (
     run_experiment,
     solve_linear,
 )
+from flowincentives.lp import MipResult
 from flowincentives.network import Link, RoadNetwork
 from flowincentives.scenario1 import Scenario1Config, build_scenario1, solve_scenario1
 
@@ -221,6 +223,80 @@ def test_count_space_matches_scipy_per_driver_milp():
         _, report = solve_pipe(pipe, budget=budget, alpha=alpha)
         assert report.status == "optimal"
         assert report.objective == pytest.approx(ref.fun, abs=1e-6)
+
+
+def test_default_gap_at_100_drivers_matches_scipy_per_driver_milp():
+    # the README generator at 100 drivers (feasible from alpha = 2) at the
+    # default 1% gap: the dive finishes in seconds, and its incumbent is an
+    # integral, feasible point within the gap of HiGHS's optimum
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    scenario = generate_synthetic(nodes=40, richness=2, tightness=1.3, drivers=100, seed=7)
+    pipe = prepare(scenario)
+    budget, alpha = 100.0, 2.0
+    onehot, assign = per_driver_incidence(pipe.columns, pipe.a_matrix.shape[1])
+    caps = alpha * pipe.w_row - pipe.background
+    ref = milp(
+        pipe.free_flow_cost @ onehot,
+        constraints=[
+            LinearConstraint(assign, 1.0, 1.0),
+            LinearConstraint(pipe.costs @ onehot, -np.inf, budget),
+            LinearConstraint(pipe.a_matrix @ onehot, -np.inf, caps),
+        ],
+        integrality=np.ones(onehot.shape[1]),
+        bounds=Bounds(0.0, 1.0),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert ref.status == 0
+    started = time.perf_counter()
+    model, report = solve_pipe(pipe, budget=budget, alpha=alpha, rel_gap=0.01)
+    assert time.perf_counter() - started < 5.0
+    counts = report.assignment.sum(axis=1)
+    assert np.array_equal(counts, np.round(counts))
+    assert np.array_equal(pipe.demand.d_matrix @ counts, pipe.demand.q)
+    assert pipe.costs @ counts <= budget + 1e-9
+    assert np.all(pipe.a_matrix @ counts <= caps + 1e-9)
+    assert report.objective == pytest.approx(pipe.free_flow_cost @ counts, rel=1e-12)
+    assert report.objective >= ref.fun - 1e-9 * abs(ref.fun)
+    assert report.objective <= 1.01 * ref.fun
+
+
+def test_linear_report_carries_nodes_and_pivots(monkeypatch):
+    # the README generator at 6 drivers: report.json's extra carries the
+    # node count the MIP returned and the pivots of all its LPs
+    returned = []
+    solve = scenario1.solve_binary_mip
+
+    def recording(*args, **kwargs):
+        returned.append(solve(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(scenario1, "solve_binary_mip", recording)
+    scenario = generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7)
+    extra = run_experiment(scenario, "linear", 100.0).report.extra
+    for key in ("mip_nodes", "lp_pivots"):
+        assert type(extra[key]) is int
+        assert extra[key] > 0
+    assert extra["mip_nodes"] == returned[-1].nodes
+    assert extra["lp_pivots"] == returned[-1].pivots
+
+
+def test_incumbent_is_checked_against_every_row(monkeypatch):
+    # the counts a MIP returns are checked before they are dealt: integral
+    # and nonnegative, D counts == q, and every kept row (budget and
+    # capacity) to 1e-6; the README generator at 6 drivers
+    scenario = generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7)
+    pipe = prepare(scenario)
+    model, _ = solve_pipe(pipe, budget=100.0, alpha=2.0)
+    zero = pipe.demand.zero_counts(pipe.costs)
+    short = zero.copy()
+    short[np.argmax(short)] -= 1.0
+    overloaded = zero.copy()
+    model.lp.b_ub[1:] = np.minimum(model.lp.b_ub[1:], model.lp.a_ub[1:] @ zero - 1e-3)
+    for counts, message in ((0.5 * zero, "integers"), (short, "demand"), (overloaded, "capacity")):
+        monkeypatch.setattr(scenario1, "solve_binary_mip", lambda *a, x=counts, **k: MipResult("optimal", x=x))
+        with pytest.raises(AssertionError, match=message):
+            solve_scenario1(model, scenario.menu, pipe.a_matrix)
 
 
 def test_node_limit_without_incumbent_raises():

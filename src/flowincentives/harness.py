@@ -571,6 +571,8 @@ def run_experiment(
     """End-to-end run: prepare, solve, evaluate realized travel time, report."""
     if model not in ("linear", "admm"):
         raise InputError(f"unknown model {model!r}; expected 'linear' or 'admm'")
+    if rel_gap < 0:
+        raise InputError("rel_gap must be nonnegative")
     started = time.perf_counter()
     vot = scenario.vot if vot is None else vot
     pen = scenario.penetration_rate if penetration is None else penetration
@@ -595,6 +597,7 @@ def run_experiment(
                 "mip_gap": report1.gap,
                 "mip_nodes": report1.nodes,
                 "lp_pivots": report1.pivots,
+                "mip_fixed_columns": report1.fixed_columns,
                 "expected_free_flow_hours": report1.objective,
             }
         )

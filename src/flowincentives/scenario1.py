@@ -9,6 +9,14 @@ inside the optimization, never when realized travel time is evaluated
 afterwards. The optimal counts are dealt to drivers at the end.
 
 Offer cost is charged per offer made, not per offer accepted.
+
+The MILP fixes two kinds of column at 0 through its upper bounds: every
+column equal to an earlier one in cost, budget, capacity and demand rows
+(each route's $0 offer leaves the driver's choice unchanged, so a pair's
+$0 columns are exact copies), and every column of a pair with no drivers.
+Both are exact: a copy's count can move to its original without changing
+any row or the objective. The model keeps every column, so decoding and
+the rest of the pipeline see the full offer layout.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ class Scenario1Config:
         # row infeasible, which the solver then reports
         if self.alpha < 0:
             raise InputError("alpha must be nonnegative")
+        if self.rel_gap < 0:
+            raise InputError("rel_gap must be nonnegative")
 
 
 @dataclass
@@ -66,6 +76,7 @@ class Scenario1Report:
     gap: float
     nodes: int  # branch-and-bound nodes
     pivots: int  # simplex pivots over the root and every node LP
+    fixed_columns: int  # columns the MILP fixes at 0: copies and empty pairs
 
 
 def build_scenario1(routes, probabilities, location, demand, net, cfg, background=None, columns=None):
@@ -98,12 +109,21 @@ def build_scenario1(routes, probabilities, location, demand, net, cfg, backgroun
     used = demand.d_matrix[demand.q > 0].any(axis=0)
     # all-zero rows only matter when background already busts the cap
     kept = np.any(a_matrix[:, used] > 0.0, axis=1) | (capacity_rhs < -_CAP_TOL)
+    a_ub = np.vstack([col_cost, a_matrix[kept]])
+    # fix at 0 every column equal to an earlier one, and every column of a
+    # pair with no drivers, so branch-and-bound never splits between copies
+    stacked = np.vstack([free_flow_cost, a_ub, demand.d_matrix]).T
+    _, first = np.unique(stacked, axis=0, return_index=True)
+    ub = np.zeros(free_flow_cost.size)
+    ub[first] = np.inf
+    ub[~used] = 0.0
     lp = LinearProgram(
         c=free_flow_cost,
-        a_ub=np.vstack([col_cost, a_matrix[kept]]),
+        a_ub=a_ub,
         b_ub=np.concatenate([[cfg.budget], capacity_rhs[kept]]),
         a_eq=demand.d_matrix,
         b_eq=demand.q,
+        ub=ub,
     )
     return Scenario1Model(
         lp=lp,
@@ -177,4 +197,5 @@ def solve_scenario1(model, menu, a_matrix, rel_gap=None, node_limit=200_000):
         gap=res.gap,
         nodes=res.nodes,
         pivots=res.pivots,
+        fixed_columns=int(np.count_nonzero(model.lp.ub == 0.0)),
     )

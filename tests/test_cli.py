@@ -166,6 +166,17 @@ def test_error_exit_code(tmp_path):
     assert main(["solve", str(tmp_path / "missing.json"), "--model", "linear"]) == 1
 
 
+def test_negative_rel_gap_exit_code(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--preset", "appendix-c", "--out", str(scenario)])
+    capsys.readouterr()
+    code = main(["solve", str(scenario), "--model", "linear", "--rel-gap", "-1",
+                 "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    assert "rel_gap" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "report.json").exists()
+
+
 def test_generate_later_entrants_need_two_intervals(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     code = main(["generate", "--nodes", "8", "--drivers", "24", "--later-fraction", "0.5",

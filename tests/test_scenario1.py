@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 
@@ -6,6 +7,7 @@ import pytest
 
 import flowincentives.scenario1 as scenario1
 from conftest import per_driver_incidence, scipy_milp_cases
+from flowincentives import harness
 from flowincentives.choice import IncentiveMenu
 from flowincentives.errors import InfeasibleModelError, InputError, SolverLimitError
 from flowincentives.harness import (
@@ -13,6 +15,7 @@ from flowincentives.harness import (
     brute_force_oracle,
     generate_synthetic,
     prepare,
+    report_csv_row,
     run_experiment,
     solve_linear,
 )
@@ -58,6 +61,63 @@ def test_config_validation():
         Scenario1Config(budget=-1.0)
     with pytest.raises(InputError):
         Scenario1Config(budget=0.0, alpha=-0.5)
+    with pytest.raises(InputError, match="rel_gap"):
+        Scenario1Config(budget=1.0, rel_gap=-0.5)
+
+
+@pytest.mark.parametrize("model", ["linear", "admm"])
+def test_negative_rel_gap_rejected_before_any_work(monkeypatch, model):
+    scenario = generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7)
+
+    def no_prepare(*args, **kwargs):
+        raise AssertionError("prepare ran with a negative rel_gap")
+
+    monkeypatch.setattr(harness, "prepare", no_prepare)
+    with pytest.raises(InputError, match="rel_gap"):
+        run_experiment(scenario, model, 100.0, rel_gap=-1.0)
+
+
+@pytest.mark.parametrize(
+    "nodes, drivers, fixed, n_cols", [(8, 6, 2, 12), (40, 100, 13, 78), (160, 480, 53, 318)]
+)
+def test_milp_fixes_exactly_the_copies(nodes, drivers, fixed, n_cols):
+    # the README generator: a column is fixed at 0 only when it repeats an
+    # earlier free column in the cost and in every row, or when its OD pair
+    # has no drivers; no two free columns are equal
+    scenario = generate_synthetic(nodes=nodes, richness=2, tightness=1.3, drivers=drivers, seed=7)
+    pipe = prepare(scenario)
+    model = build_scenario1(
+        pipe.routes, pipe.probabilities, pipe.location, pipe.demand, scenario.net,
+        Scenario1Config(budget=100.0, alpha=2.0), background=pipe.background,
+        columns=pipe.columns,
+    )
+    lp = model.lp
+
+    def column(j):
+        return lp.c[j], lp.a_ub[:, j], lp.a_eq[:, j]
+
+    def equal(i, j):
+        return all(np.array_equal(a, b) for a, b in zip(column(i), column(j)))
+
+    empty = ~pipe.demand.d_matrix[pipe.demand.q > 0].any(axis=0)
+    free = np.flatnonzero(lp.ub > 0)
+    assert np.all(np.isinf(lp.ub[free]))
+    for j in np.flatnonzero(lp.ub == 0):
+        assert empty[j] or any(equal(i, j) for i in free[free < j])
+    assert not any(equal(i, j) for i, j in itertools.combinations(free, 2))
+    assert (np.count_nonzero(lp.ub == 0), lp.num_vars) == (fixed, n_cols)
+
+
+def test_exact_search_keeps_the_objective_with_fewer_nodes():
+    # the README generator at rel_gap=0: fixing the copies keeps the exact
+    # optima, and the 24-driver search stays under 3,000 nodes (it takes
+    # 9,649 with the copies free)
+    for drivers, objective in ((6, 0.8372967109138673), (24, 3.315670169619592)):
+        scenario = generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=drivers, seed=7)
+        extra = run_experiment(scenario, "linear", 100.0, rel_gap=0).report.extra
+        assert extra["mip_status"] == "optimal"
+        assert extra["expected_free_flow_hours"] == pytest.approx(objective, rel=1e-9)
+    assert extra["mip_nodes"] < 3_000
 
 
 def test_rejects_columns_narrower_than_the_od_block(appendix_c):
@@ -279,6 +339,26 @@ def test_linear_report_carries_nodes_and_pivots(monkeypatch):
         assert extra[key] > 0
     assert extra["mip_nodes"] == returned[-1].nodes
     assert extra["lp_pivots"] == returned[-1].pivots
+
+
+def test_linear_report_carries_fixed_columns(monkeypatch):
+    # the README generator at 6 drivers: report.json's extra carries how
+    # many columns the MILP at the final alpha fixed at 0, and the sweep
+    # CSV row leaves it out
+    built = []
+    build = harness.build_scenario1
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_scenario1", recording)
+    scenario = generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7)
+    report = run_experiment(scenario, "linear", 100.0).report
+    assert report.extra["alpha_retries"] == 1
+    assert type(report.extra["mip_fixed_columns"]) is int
+    assert report.extra["mip_fixed_columns"] == np.count_nonzero(built[-1].lp.ub == 0) == 2
+    assert report_csv_row(report) == report_csv_row(dataclasses.replace(report, extra={}))
 
 
 def test_incumbent_is_checked_against_every_row(monkeypatch):

@@ -30,9 +30,13 @@ class's q_k drivers, and lam2 has one entry per class (Boyd et al.,
 *Distributed Optimization and Statistical Learning via ADMM*, 2011, section
 7.3, with one block per OD pair). Every block update is then elementwise
 or a sum over one class's block. Pairs without drivers keep their columns
-at weight 0, where the offer-mass dual drives u to 0. The per-driver layout,
-one S column per ``problem.columns`` entry over every offer column, stays
-for the identity tests: the same functions take either layout.
+at weight 0, where the offer-mass dual drives u to 0. The masked sweep
+also works from A's nonzeros (``AdmmProblem.a_nonzeros``): A u and the u
+step's one A^T product are each a single ``np.bincount``, D^T x is the
+gather x[classes] and D u a per-class sum. The per-driver layout, one S
+column per ``problem.columns`` entry over every offer column, stays for the
+identity tests with the plain dense products the bit-identity test holds
+it to: the same functions take either layout.
 
 The update formulas come from differentiating the augmented Lagrangian
 directly. In the u step the budget terms enter as
@@ -98,7 +102,8 @@ class AdmmProblem:
     ``d_matrix`` maps columns to OD pairs, ``columns`` lists each driver's
     allowed columns (its OD pair's whole block), ``t0_row``/``w_row`` carry
     per-row BPR parameters, and ``background`` is fixed non-decision volume
-    added to A @ u.
+    added to A @ u. ``a_nonzeros`` is derived: A's nonzeros as (rows, cols,
+    values), which the masked sweep multiplies by.
     """
 
     a_matrix: np.ndarray
@@ -110,6 +115,7 @@ class AdmmProblem:
     w_row: np.ndarray
     columns: list
     background: np.ndarray = None
+    a_nonzeros: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.a_matrix = np.asarray(self.a_matrix, dtype=float)
@@ -133,6 +139,8 @@ class AdmmProblem:
         if self.background.shape != (rows,):
             raise InputError("background volume must have one entry per volume row")
         _entry_pairs(self.d_matrix, self.columns)
+        nz_rows, nz_cols = np.nonzero(self.a_matrix)
+        self.a_nonzeros = (nz_rows, nz_cols, self.a_matrix[nz_rows, nz_cols])
 
     @property
     def num_columns(self):
@@ -197,11 +205,14 @@ def _entry_pairs(d_matrix, columns):
 
 
 def _column_classes(d_matrix):
-    """OD pair of each column, which must belong to exactly one pair."""
-    member = d_matrix > 0
-    if not np.all(member.sum(axis=0) == 1):
-        raise InputError("each offer column must belong to exactly one OD pair")
-    return np.argmax(member, axis=0)
+    """OD pair of each column, which must belong to exactly one pair.
+
+    Every ``d_matrix`` entry must be 0 or 1: the masked sweep reads D^T x
+    as x[classes] and D u as a per-class sum.
+    """
+    if not (np.isin(d_matrix, (0.0, 1.0)).all() and np.all(d_matrix.sum(axis=0) == 1)):
+        raise InputError("each offer column must belong to exactly one OD pair, at entry 1")
+    return np.argmax(d_matrix > 0, axis=0)
 
 
 def initial_state(problem, masked=False):
@@ -228,7 +239,7 @@ def initial_state(problem, masked=False):
         for n, allowed in enumerate(problem.columns):
             s_mat[allowed, n] = 1.0 / len(allowed)
     u = _offer_mass(s_mat, weights)
-    gamma = problem.a_matrix @ u + problem.background
+    gamma = _volume(u, problem, classes)
     beta = max(0.0, problem.budget - float(problem.costs @ u))
     k = problem.q.shape[0]
     rows = problem.a_matrix.shape[0]
@@ -270,15 +281,28 @@ def build_u_factor(problem):
 
 
 def u_update(state, problem, rho, u_factor):
+    """Solve of the u block; masked, D^T x is x[classes], D^T q the weights
+    and A^T one product over A's nonzeros."""
     p = problem
-    rhs = (
-        (state.lam1 - p.d_matrix.T @ state.lam3 - p.a_matrix.T @ state.lam4 - state.lam6 * p.costs)
-        / rho
-        + _offer_mass(state.s_mat, state.weights)
-        + p.d_matrix.T @ p.q
-        + p.a_matrix.T @ (state.gamma - p.background)
-        + (p.budget - state.beta) * p.costs
-    )
+    if state.classes is None:
+        rhs = (
+            (state.lam1 - p.d_matrix.T @ state.lam3 - p.a_matrix.T @ state.lam4 - state.lam6 * p.costs)
+            / rho
+            + _offer_mass(state.s_mat, state.weights)
+            + p.d_matrix.T @ p.q
+            + p.a_matrix.T @ (state.gamma - p.background)
+            + (p.budget - state.beta) * p.costs
+        )
+    else:
+        rows, cols, values = p.a_nonzeros
+        target = state.gamma - p.background - state.lam4 / rho
+        rhs = (
+            (state.lam1 - state.lam3[state.classes] - state.lam6 * p.costs) / rho
+            + _offer_mass(state.s_mat, state.weights)
+            + state.weights
+            + np.bincount(cols, values * target[rows], p.num_columns)
+            + (p.budget - state.beta) * p.costs
+        )
     return u_factor @ rhs
 
 
@@ -337,8 +361,12 @@ def beta_update(u, lam6, rho, costs, budget):
     return max(0.0, budget - float(costs @ u) - lam6 / rho)
 
 
-def _volume(u, problem):
-    return problem.a_matrix @ u + problem.background
+def _volume(u, problem, classes=None):
+    """A u + bg; masked (``classes`` given), summed over A's nonzeros."""
+    if classes is None:
+        return problem.a_matrix @ u + problem.background
+    rows, cols, values = problem.a_nonzeros
+    return np.bincount(rows, values * u[cols], problem.background.size) + problem.background
 
 
 def residual_vectors(state, problem, volume=None):
@@ -348,15 +376,17 @@ def residual_vectors(state, problem, volume=None):
     """
     p = problem
     if volume is None:
-        volume = _volume(state.u, p)
+        volume = _volume(state.u, p, state.classes)
     if state.classes is None:
         w_sums = state.w_mat.sum(axis=0)
+        demand = p.d_matrix @ state.u
     else:
         w_sums = np.bincount(state.classes, state.w_mat, p.q.size)
+        demand = np.bincount(state.classes, state.u, p.q.size)
     return (
         _offer_mass(state.s_mat, state.weights) - state.u,
         w_sums - 1.0,
-        p.d_matrix @ state.u - p.q,
+        demand - p.q,
         volume - state.gamma,
         state.h_mat - state.s_mat,
         np.array([float(p.costs @ state.u) + state.beta - p.budget]),
@@ -410,11 +440,11 @@ def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
                 state.u, state.h_mat, state.w_mat, state.lam1, state.lam5, state.lam7, rho,
                 state.weights,
             )
-            volume = _volume(state.u, p)
+            volume = _volume(state.u, p, state.classes)
             state.gamma = gamma_subproblem(volume, state.lam4, rho, p.t0_row, p.w_row)
             state.beta = beta_update(state.u, state.lam6, rho, p.costs, p.budget)
     if volume is None:
-        volume = _volume(state.u, p)
+        volume = _volume(state.u, p, state.classes)
 
     r1, r2, r3, r4, r5, r6, r7 = residual_vectors(state, p, volume)
     root = np.sqrt(state.weights)

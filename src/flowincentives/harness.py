@@ -528,13 +528,12 @@ def solve_linear(pipe, budget, alpha=1.0, rel_gap=0.01, alpha_retry=True):
             retries += 1
 
 
-def solve_admm_model(pipe, budget, rho=1.0, lambda_reg=0.0, max_iters=5000, tol=1e-4, seed=None):
-    """One relaxation (``run_admm``), its exact L1 rounding to offer counts
-    (``round_counts``), one exchange polish on realized travel time
-    (``polish_counts``), and S dealt once. Returns (binary S, AdmmResult,
-    rounding L1 distance, polish moves).
+def solve_admm_model(pipe, budget, cfg):
+    """One relaxation (``run_admm`` under ``cfg``), its exact L1 rounding to
+    offer counts (``round_counts``), one exchange polish on realized travel
+    time (``polish_counts``), and S dealt once. Returns (binary S,
+    AdmmResult, rounding L1 distance, polish moves).
     """
-    seed = pipe.scenario.seed if seed is None else seed
     problem = AdmmProblem(
         a_matrix=pipe.a_matrix,
         d_matrix=pipe.demand.d_matrix,
@@ -546,7 +545,6 @@ def solve_admm_model(pipe, budget, rho=1.0, lambda_reg=0.0, max_iters=5000, tol=
         columns=pipe.columns,
         background=pipe.background,
     )
-    cfg = AdmmConfig(rho=rho, lambda_reg=lambda_reg, max_iters=max_iters, residual_tol=tol, seed=seed)
     result = run_admm(problem, cfg)
     counts, rounding_l1 = round_counts(result.u, pipe.demand, pipe.costs, budget)
     counts, moves = polish_counts(counts, problem)
@@ -574,9 +572,16 @@ def run_experiment(
     if rel_gap < 0:
         raise InputError("rel_gap must be nonnegative")
     started = time.perf_counter()
+    run_seed = scenario.seed if seed is None else seed
+    # built before prepare, so bad settings fail even where an empty cohort
+    # would never run the model
+    cfg = None
+    if model == "admm":
+        cfg = AdmmConfig(
+            rho=rho, lambda_reg=lambda_reg, max_iters=max_iters, residual_tol=tol, seed=run_seed
+        )
     vot = scenario.vot if vot is None else vot
     pen = scenario.penetration_rate if penetration is None else penetration
-    run_seed = scenario.seed if seed is None else seed
     pipe = prepare(scenario, penetration=pen, seed=run_seed)
     baseline_tt = realized_travel_time(pipe, pipe.demand.zero_counts(pipe.costs))
 
@@ -602,9 +607,7 @@ def run_experiment(
             }
         )
     else:
-        s_mat, trace, rounding_l1, moves = solve_admm_model(
-            pipe, budget, rho=rho, lambda_reg=lambda_reg, max_iters=max_iters, tol=tol, seed=run_seed
-        )
+        s_mat, trace, rounding_l1, moves = solve_admm_model(pipe, budget, cfg)
         extra.update(
             {
                 "iterations": trace.iterations,

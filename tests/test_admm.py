@@ -319,7 +319,9 @@ def test_masked_closed_forms_minimize_their_blocks():
 
 def test_masked_layout_needs_each_column_on_one_pair():
     good = small_problem()
-    for d_matrix in (good.d_matrix[:1], np.vstack([good.d_matrix, np.ones(6)])):
+    doubled = good.d_matrix.copy()
+    doubled[0, 0] = 2.0  # on one pair, but the masked sweep reads D^T x as x[classes]
+    for d_matrix in (good.d_matrix[:1], np.vstack([good.d_matrix, np.ones(6)]), doubled):
         problem = replace(good, d_matrix=d_matrix, q=np.ones(d_matrix.shape[0]), columns=[np.arange(4)])
         with pytest.raises(InputError, match="exactly one OD pair"):
             initial_state(problem, masked=True)
@@ -651,6 +653,11 @@ def readme_problem():
     return synthetic_problem(nodes=8, drivers=6)
 
 
+def hundred_driver_problem():
+    """The README generator at 100 drivers (seed 7) with budget 100."""
+    return synthetic_problem(nodes=40, drivers=100)
+
+
 STATE_ARRAYS = (
     "u", "s_mat", "w_mat", "h_mat", "gamma", "beta",
     "lam1", "lam2", "lam3", "lam4", "lam5", "lam6", "lam7",
@@ -715,6 +722,8 @@ def test_sweep_is_bit_identical_to_frozen_reference(make_problem, rho, lambda_re
         # moves its u by 3 within 1,100 sweeps. Any two summation orders
         # part that way, so compare the first 40 sweeps
         (readme_problem, 0.5, 40),
+        # 78 columns over 13 OD pairs, 85 sweeps
+        (hundred_driver_problem, 0.0, 3000),
     ],
 )
 def test_class_run_matches_per_driver_iteration(make_problem, lambda_reg, max_iters, monkeypatch):
@@ -743,6 +752,53 @@ def test_class_run_matches_per_driver_iteration(make_problem, lambda_reg, max_it
     assert np.all(np.abs(result.residuals - per_driver) <= 1e-9 * per_driver.max(axis=0))
     assert np.allclose(result.objectives, state.objective_history, rtol=1e-9, atol=0.0)
     assert result.state.s_mat.shape == (problem.num_columns,)
+
+
+def zero_edge_problem():
+    """small_problem at 5 drivers with A's last row and last column all zero."""
+    good = small_problem(n_drivers=5)
+    a = good.a_matrix.copy()
+    a[-1, :] = 0.0
+    a[:, -1] = 0.0
+    return replace(good, a_matrix=a, background=np.linspace(0.5, 2.0, a.shape[0]))
+
+
+@pytest.mark.parametrize("make_problem", [readme_problem, hundred_driver_problem, zero_edge_problem])
+def test_masked_products_match_dense_formulas(make_problem):
+    # the masked u step, volume and demand residual work from A's nonzeros
+    # and per-class gathers; at random duals they must agree with the dense
+    # products the per-driver layout keeps. The zero edges of A check that
+    # the sums keep A's full row and column counts
+    p = make_problem()
+    state = initial_state(p, masked=True)
+    rng = np.random.default_rng(11)
+    n_cols, rows = p.num_columns, p.a_matrix.shape[0]
+    state.u, state.s_mat, state.lam1 = rng.normal(size=(3, n_cols))
+    state.gamma = np.abs(rng.normal(size=rows))
+    state.beta = float(rng.uniform(0, 1))
+    state.lam3 = rng.normal(size=p.q.size)
+    state.lam4 = rng.normal(size=rows)
+    state.lam6 = float(rng.normal())
+    rho = 1.3
+    factor = build_u_factor(p)
+    rhs = (
+        (state.lam1 - p.d_matrix.T @ state.lam3 - p.a_matrix.T @ state.lam4 - state.lam6 * p.costs)
+        / rho
+        + state.weights * state.s_mat
+        + p.d_matrix.T @ p.q
+        + p.a_matrix.T @ (state.gamma - p.background)
+        + (p.budget - state.beta) * p.costs
+    )
+    _, _, demand, volume, *_ = residual_vectors(state, p)
+    got = {"u": u_update(state, p, rho, factor), "demand": demand, "volume": volume}
+    want = {
+        "u": factor @ rhs,
+        "demand": p.d_matrix @ state.u - p.q,
+        "volume": p.a_matrix @ state.u + p.background - state.gamma,
+    }
+    for name, value in want.items():
+        assert got[name].shape == value.shape, name
+        assert np.max(np.abs(got[name] - value)) <= 1e-12 * np.max(np.abs(value)), name
 
 
 def test_gamma_solve_meets_first_order_condition_near_frozen_reference():

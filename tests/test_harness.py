@@ -253,6 +253,19 @@ def test_unknown_model_rejected_before_any_work(monkeypatch, penetration):
         run_experiment(scenario, "bogus", 10.0, penetration=penetration)
 
 
+@pytest.mark.parametrize("penetration", [0.1, 1.0])
+def test_admm_settings_rejected_before_any_work(monkeypatch, penetration):
+    # 0.1 leaves an empty cohort, which never runs the model
+    scenario = generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7)
+
+    def no_prepare(*args, **kwargs):
+        raise AssertionError("prepare ran with invalid admm settings")
+
+    monkeypatch.setattr(harness, "prepare", no_prepare)
+    with pytest.raises(InputError, match="rho must be positive"):
+        run_experiment(scenario, "admm", 10.0, penetration=penetration, rho=0.0, lambda_reg=-1.0)
+
+
 def test_penetration_shrinks_decision_set():
     scenario = generate_synthetic(nodes=6, richness=2, drivers=10, seed=3)
     full = prepare(scenario, penetration=1.0)

@@ -21,6 +21,19 @@ over spend), ``polish_counts`` moves single drivers within their OD pair
 while that lowers the BPR travel time, and ``flow.deal_counts`` builds the
 per-driver assignment once.
 
+Neither the u step nor the polish holds an n_cols x n_cols array unless
+the network couples every column. The u step's M = I + D^T D + A^T A +
+c c^T is factored once per run: the first three terms are block-diagonal
+over the connected components of the graph whose edges are the nonzeros
+of [D; A] (on the README generator, one block per OD pair), each block is
+I + P^T P for the block's nonzero rows P, gathered from the nonzeros and
+inverted in a stack with the other blocks of its size, and c c^T is
+applied by one Sherman-Morrison correction. ``build_u_factor`` returns
+that factor, which applies M^-1 with ``@``; a network whose OD pairs all
+share links is one block, the dense case, and costs what the dense
+inverse did. The polish scores each move on the rows where A is nonzero
+in either of its two columns, the only rows whose volume it changes.
+
 Drivers of one OD pair are interchangeable, and from the uniform start
 every sweep keeps their S, W, H, lam5 and lam7 equal; each driver may only
 use its own pair's columns. So ``run_admm`` iterates the masked class
@@ -184,7 +197,8 @@ class AdmmState:
 
 @dataclass
 class AdmmResult:
-    """From ``run_admm``, ``s_relaxed`` and ``state`` are in the masked layout."""
+    """From ``run_admm``, ``s_relaxed`` and ``state`` are in the masked layout;
+    ``u_factor`` is the factor its u step applied."""
 
     u: np.ndarray
     s_relaxed: np.ndarray
@@ -193,6 +207,7 @@ class AdmmResult:
     iterations: int
     converged: bool
     state: AdmmState
+    u_factor: UFactor
 
 
 def _entry_pairs(d_matrix, columns):
@@ -210,7 +225,7 @@ def _column_classes(d_matrix):
     Every ``d_matrix`` entry must be 0 or 1: the masked sweep reads D^T x
     as x[classes] and D u as a per-class sum.
     """
-    if not (np.isin(d_matrix, (0.0, 1.0)).all() and np.all(d_matrix.sum(axis=0) == 1)):
+    if not (((d_matrix == 0.0) | (d_matrix == 1.0)).all() and (d_matrix.sum(axis=0) == 1).all()):
         raise InputError("each offer column must belong to exactly one OD pair, at entry 1")
     return np.argmax(d_matrix > 0, axis=0)
 
@@ -268,16 +283,137 @@ def _offer_mass(s_mat, weights):
     return mass if mass.ndim == 1 else mass.sum(axis=1)
 
 
+def _ranges(starts, lengths):
+    """The ranges [starts[i], starts[i] + lengths[i]) laid end to end:
+    the range each element comes from, and the element."""
+    owner = np.arange(lengths.size).repeat(lengths)
+    return owner, np.arange(owner.size) + (starts + lengths - lengths.cumsum())[owner]
+
+
+class UFactor:
+    """M^-1 for M = B + c c^T, B block-diagonal, applied by ``@``.
+
+    ``groups`` holds one entry per block size s: the columns of its k
+    blocks (a slice when they form one contiguous range), the (k, s, s)
+    stack of their inverses and the (k, s, 1) shape their part of x takes.
+    M^-1 x = y - z (c . y) / (1 + c . z) with y = B^-1 x and z = B^-1 c.
+    """
+
+    def __init__(self, groups, costs):
+        self.groups = groups
+        self.blocks = sum(len(inverse) for _, inverse, _ in groups)
+        self.largest_block = max((inverse.shape[1] for _, inverse, _ in groups), default=0)
+        self.costs = costs
+        z = self._block_solve(costs)
+        self._z_scaled = z / (1.0 + costs @ z)
+
+    def _block_solve(self, x):
+        y = np.empty(x.shape)
+        for index, inverse, shape in self.groups:
+            y[index] = (inverse @ x[index].reshape(shape)).ravel()
+        return y
+
+    def __matmul__(self, x):
+        y = self._block_solve(x)
+        y -= self._z_scaled * self.costs.dot(y)
+        return y
+
+
+def _components(rows, cols, n_rows, n_cols):
+    """Each column's least column in its connected component of the
+    bipartite graph whose edges are the nonzeros (rows, cols).
+
+    Each row takes the least label of its columns and each column the least
+    of its rows, then jumps to its label's label, until every row holds one
+    label.
+    """
+    labels = np.arange(n_cols)
+    row_labels = np.full(n_rows, n_cols)
+    while True:
+        col_side = labels[cols]
+        np.minimum.at(row_labels, rows, col_side)
+        row_side = row_labels[rows]
+        if (col_side == row_side).all():
+            return labels
+        np.minimum.at(labels, cols, row_side)
+        labels = labels[labels]
+
+
+def _gram_stack(shape, at, values):
+    """P^T P for each of the k matrices P of the (k, rows, s) stack that
+    holds ``values`` at ``at``; the stack is freed before the caller
+    inverts the result."""
+    stack = np.zeros(shape)
+    stack[at] = values
+    return stack.transpose(0, 2, 1) @ stack
+
+
 def build_u_factor(problem):
-    """Inverse of I + D^T D + A^T A + c c^T, constant across iterations."""
-    n_cols = problem.num_columns
-    m = (
-        np.eye(n_cols)
-        + problem.d_matrix.T @ problem.d_matrix
-        + problem.a_matrix.T @ problem.a_matrix
-        + np.outer(problem.costs, problem.costs)
-    )
-    return np.linalg.inv(m)
+    """The u step's M = I + D^T D + A^T A + c c^T, factored once per run.
+
+    Columns i and j meet in B = I + D^T D + A^T A only when some row of
+    [D; A] is nonzero at both, so B is block-diagonal over the connected
+    components of the bipartite graph of rows and columns, found by label
+    propagation over the nonzeros. Blocks of one size s are built as one
+    stack: each block's nonzero rows, gathered into a (k, rows, s) array P,
+    give I + P^T P, and the stack is inverted at once. c c^T enters by
+    Sherman-Morrison (Golub & Van Loan, *Matrix Computations*, section
+    2.1.4). Memory and time follow the nonzeros and the block sizes; a
+    network whose OD pairs all share links is one block, the dense case.
+    """
+    p = problem
+    n = p.num_columns
+    d_rows, d_cols = np.nonzero(p.d_matrix)
+    a_rows, a_cols, a_vals = p.a_nonzeros
+    n_rows = p.d_matrix.shape[0] + p.a_matrix.shape[0]
+    # the nonzeros of [D; A]
+    rows = np.concatenate([d_rows, a_rows + p.d_matrix.shape[0]])
+    cols = np.concatenate([d_cols, a_cols])
+    vals = np.concatenate([p.d_matrix[d_rows, d_cols], a_vals])
+
+    labels = _components(rows, cols, n_rows, n)
+
+    # columns ordered by block size, then block, then index, so each
+    # block's least column, its label, comes first
+    size = np.bincount(labels, minlength=n)[labels]
+    order = np.lexsort((labels, size))
+    first = labels[order] == order
+    block_size = size[order[first]]
+    block = np.empty(n, dtype=int)
+    block[order] = first.cumsum() - 1
+    pos = np.empty(n, dtype=int)  # each column's place in its block
+    pos[order] = np.arange(n) - (block_size.cumsum() - block_size).repeat(block_size)
+
+    # the nonzeros block by block, rows ascending within each ([D; A] is in
+    # row order and the sort is stable), and each one's place among its
+    # block's nonzero rows
+    by_block = np.argsort(block[cols], kind="stable")
+    rows, cols, vals = rows[by_block], cols[by_block], vals[by_block]
+    nz_block = block[cols]
+    fresh = np.ones(rows.size, dtype=bool)  # the first nonzero of a (block, row)
+    fresh[1:] = (rows[1:] != rows[:-1]) | (nz_block[1:] != nz_block[:-1])
+    local = fresh.cumsum() - 1
+    block_rows = np.bincount(nz_block[fresh], minlength=block_size.size)
+    local -= (block_rows.cumsum() - block_rows)[nz_block]
+    block_nonzeros = np.bincount(nz_block, minlength=block_size.size).cumsum()
+
+    groups = []
+    per_size = np.bincount(block_size)
+    done = first_block = first_nz = 0  # columns, blocks and nonzeros of the smaller sizes
+    for s in per_size.nonzero()[0].tolist():
+        k = int(per_size[s])
+        at = slice(first_nz, int(block_nonzeros[first_block + k - 1]))
+        height = int(block_rows[first_block : first_block + k].max())
+        m = _gram_stack((k, height, s), (nz_block[at] - first_block, local[at], pos[cols[at]]), vals[at])
+        m.reshape(k, s * s)[:, :: s + 1] += 1.0
+        columns = order[done : done + k * s]
+        contiguous = (columns[1:] - columns[:-1] == 1).all()
+        index = slice(int(columns[0]), int(columns[-1]) + 1) if contiguous else columns
+        groups.append((index, np.linalg.inv(m), (k, s, 1)))
+        done += k * s
+        first_block += k
+        first_nz = at.stop
+    return UFactor(groups, p.costs)
 
 
 def u_update(state, problem, rho, u_factor):
@@ -496,6 +632,7 @@ def run_admm(problem, cfg=None):
         iterations=state.iteration,
         converged=converged,
         state=state,
+        u_factor=u_factor,
     )
 
 
@@ -562,28 +699,51 @@ def polish_counts(counts, problem):
     """Best-improvement 1-exchange on integer offer counts.
 
     A move shifts one driver between two columns of its own OD pair within
-    the budget (1e-9 slack) and is scored row by row on the BPR total travel
-    time of A u + bg. The best move is applied while it lowers that total by
-    more than 1e-12, so the loop ends at a 1-exchange local optimum (Ahuja,
-    Ergun, Orlin & Punnen, "A survey of very large-scale neighborhood search
+    the budget (1e-9 slack) and is scored on the BPR total travel time of
+    A u + bg, over the rows where A is nonzero in either column: the other
+    rows keep their volume. The best move, the first in (source, target)
+    order on ties, is applied while it lowers that total by more than
+    1e-12, so the loop ends at a 1-exchange local optimum (Ahuja, Ergun,
+    Orlin & Punnen, "A survey of very large-scale neighborhood search
     techniques", 2002). Returns the polished counts and the number of moves.
     """
     p = problem
     u = np.array(counts, dtype=float)
-    same_od = (p.d_matrix.T @ p.d_matrix > 0) & ~np.eye(u.size, dtype=bool)
-    src, dst = np.nonzero(same_od)
-    step = p.a_matrix[:, dst] - p.a_matrix[:, src]
+    classes = _column_classes(p.d_matrix)
+    # every move (src, dst), src ascending, then dst ascending
+    by_class = np.argsort(classes, kind="stable")
+    sizes = np.bincount(classes)
+    src, at = _ranges((sizes.cumsum() - sizes)[classes], sizes[classes])
+    dst = by_class[at]
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    # one entry per (move, row) that the move changes, rows ascending within
+    # a move, so each gain sums its rows in the order a dense sum would
+    a_rows, a_cols, _ = p.a_nonzeros
+    by_col = np.argsort(a_cols, kind="stable")
+    col_sizes = np.bincount(a_cols, minlength=u.size)
+    ends = np.concatenate([dst, src])
+    owner, at = _ranges((col_sizes.cumsum() - col_sizes)[ends], col_sizes[ends])
+    n_rows = p.background.size
+    keys = owner % src.size * n_rows + a_rows[by_col[at]]
+    keys.sort()  # a row both columns touch comes twice; keep it once
+    keys = np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
+    entry_move, entry_row = np.divmod(keys, n_rows)
+    step = p.a_matrix[entry_row, dst[entry_move]] - p.a_matrix[entry_row, src[entry_move]]
+    t0, w = p.t0_row[entry_row], p.w_row[entry_row]
     extra_cost = p.costs[dst] - p.costs[src]
-    t0, w = p.t0_row[:, None], p.w_row[:, None]
     moves = 0
     while True:
-        volume = (p.a_matrix @ u + p.background)[:, None]
-        allowed = np.nonzero((u[src] >= 1) & (float(p.costs @ u) + extra_cost <= p.budget + 1e-9))[0]
-        before = bpr_terms(volume, t0, w)
-        gain = (before - bpr_terms(volume + step[:, allowed], t0, w)).sum(axis=0)
-        if gain.size == 0 or gain.max() <= 1e-12:
+        allowed = (u[src] >= 1) & (float(p.costs @ u) + extra_cost <= p.budget + 1e-9)
+        if not allowed.any():
             return u, moves
-        move = allowed[int(np.argmax(gain))]
+        volume = _volume(u, p, classes)
+        before = bpr_terms(volume, p.t0_row, p.w_row)[entry_row]
+        gain = np.bincount(entry_move, before - bpr_terms(volume[entry_row] + step, t0, w), src.size)
+        gain = np.where(allowed, gain, -np.inf)
+        move = gain.argmax()
+        if gain[move] <= 1e-12:
+            return u, moves
         u[src[move]] -= 1.0
         u[dst[move]] += 1.0
         moves += 1

@@ -616,6 +616,8 @@ def run_experiment(
                 "relaxed_objective": float(trace.objectives[-1]),
                 "rounding_l1": rounding_l1,
                 "polish_moves": moves,
+                "u_factor_blocks": trace.u_factor.blocks,
+                "u_factor_largest_block": trace.u_factor.largest_block,
             }
         )
 

@@ -21,10 +21,15 @@ bracketed Newton over every row. Both stop at the same |phi| < 1e-10, so
 their roots agree to within 1e-9, not to the bit; the bit-identity test
 runs the package's sweep with this prox substituted for its own.
 
+``polish_counts`` keeps the dense 1-exchange polish the package's
+row-local one must match move for move: it scores every move over every
+row, with a rows x moves step matrix, and takes the move pairs from the
+n_cols x n_cols same-pair mask.
+
 Kept separate from the package so it shares no code with what it checks;
 ``sweep`` takes the package's problem and state objects and the u-update
-inverse, nothing else, and ``masked_sweep`` the package's problem and the
-u-update inverse.
+inverse, nothing else, ``masked_sweep`` the package's problem and the
+u-update inverse, and ``polish_counts`` the package's problem.
 """
 
 from types import SimpleNamespace
@@ -231,3 +236,30 @@ def masked_sweep(state, problem, rho, lambda_reg, u_factor, order):
         float(np.sum(v * p.t0_row * (1.0 + 0.15 * (v / p.w_row) ** 4)))
     )
     return state
+
+
+def polish_counts(counts, problem):
+    """Dense best-improvement 1-exchange: the best allowed move, the first
+    in (source, target) order on ties, while it gains more than 1e-12."""
+    p = problem
+    u = np.array(counts, dtype=float)
+    same_od = (p.d_matrix.T @ p.d_matrix > 0) & ~np.eye(u.size, dtype=bool)
+    src, dst = np.nonzero(same_od)
+    step = p.a_matrix[:, dst] - p.a_matrix[:, src]
+    extra_cost = p.costs[dst] - p.costs[src]
+    t0, w = p.t0_row[:, None], p.w_row[:, None]
+
+    def bpr(v):
+        return v * t0 * (1.0 + 0.15 * (v / w) ** 4)
+
+    moves = 0
+    while True:
+        volume = (p.a_matrix @ u + p.background)[:, None]
+        allowed = np.nonzero((u[src] >= 1) & (float(p.costs @ u) + extra_cost <= p.budget + 1e-9))[0]
+        gain = (bpr(volume) - bpr(volume + step[:, allowed])).sum(axis=0)
+        if gain.size == 0 or gain.max() <= 1e-12:
+            return u, moves
+        move = allowed[int(np.argmax(gain))]
+        u[src[move]] -= 1.0
+        u[dst[move]] += 1.0
+        moves += 1

@@ -1,6 +1,8 @@
 import copy
 import itertools
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from flowincentives.errors import DivergenceError, InputError
 from flowincentives.flow import deal_counts
 from flowincentives.harness import generate_synthetic, prepare, realized_travel_time
 from flowincentives.kernels import gamma_solve
+from flowincentives.network import Link, RoadNetwork
 
 
 def small_problem(budget=4.0, seed=42, n_drivers=4):
@@ -631,10 +634,12 @@ def test_u_fixed_point_at_convergence():
 
 def synthetic_problem(nodes, drivers, penetration=None):
     """The README generator (seed 7) with budget 100."""
-    pipe = prepare(
-        generate_synthetic(nodes=nodes, richness=2, tightness=1.3, drivers=drivers, seed=7),
-        penetration=penetration,
-    )
+    scenario = generate_synthetic(nodes=nodes, richness=2, tightness=1.3, drivers=drivers, seed=7)
+    return pipeline_problem(prepare(scenario, penetration=penetration))
+
+
+def pipeline_problem(pipe):
+    """The admm problem of a prepared pipeline, with budget 100."""
     return AdmmProblem(
         a_matrix=pipe.a_matrix,
         d_matrix=pipe.demand.d_matrix,
@@ -646,6 +651,36 @@ def synthetic_problem(nodes, drivers, penetration=None):
         columns=pipe.columns,
         background=pipe.background,
     )
+
+
+def trunk_scenario(group=None, nodes=160, drivers=480):
+    """The README instance (480 drivers by default) with a third route for
+    each OD pair, o -> t -> u -> d over a trunk link t -> u that ``group``
+    consecutive pairs share (every pair when None), so routes of different
+    pairs overlap and A joins their columns. Each new link's capacity is
+    an even three-way share of its drivers at tightness 1.3."""
+    base = generate_synthetic(nodes=nodes, richness=2, tightness=1.3, drivers=drivers, seed=7)
+    n_od = len(base.od_pairs)
+    group = group or n_od
+    per_od = np.bincount([k for k, _, _ in base.demand], [c for _, _, c in base.demand], n_od)
+    links, names = list(base.net.links), list(base.net.nodes)
+
+    def add(tail, head, t0, users):
+        links.append(Link(len(links), tail, head, t0, max(0.5, users / 3 / 1.3), t0 * 50.0))
+
+    for g in range(0, n_od, group):
+        names += [f"t{g}", f"u{g}"]
+        add(f"t{g}", f"u{g}", 0.05, per_od[g : g + group].sum())
+    for k, (origin, dest) in enumerate(base.od_pairs):
+        g = k - k % group
+        add(origin, f"t{g}", 0.04, per_od[k])
+        add(f"u{g}", dest, 0.04, per_od[k])
+    return replace(base, net=RoadNetwork(nodes=tuple(names), links=tuple(links)))
+
+
+def trunk_problem(group=None):
+    """The admm problem of the 480-driver ``trunk_scenario``."""
+    return pipeline_problem(prepare(trunk_scenario(group)))
 
 
 def readme_problem():
@@ -799,6 +834,92 @@ def test_masked_products_match_dense_formulas(make_problem):
     for name, value in want.items():
         assert got[name].shape == value.shape, name
         assert np.max(np.abs(got[name] - value)) <= 1e-12 * np.max(np.abs(value)), name
+
+
+def interleaved_problem():
+    """Three OD pairs on interleaved columns; A joins pairs 0 and 2 into one
+    block of 4 columns, and pair 1 is a block of 2."""
+    rng = np.random.default_rng(5)
+    a = np.zeros((4, 6))
+    a[0, [0, 2, 4]] = rng.uniform(0.1, 1.0, 3)
+    a[1, [1, 3]] = rng.uniform(0.1, 1.0, 2)
+    a[2, 5] = 1.0
+    a[3, [0, 4]] = 0.3
+    d = np.zeros((3, 6))
+    d[0, [0, 2]] = d[1, [1, 3]] = d[2, [4, 5]] = 1.0
+    return AdmmProblem(
+        a_matrix=a,
+        d_matrix=d,
+        costs=np.array([0.0, 1.0, 2.0, 0.0, 1.0, 3.0]),
+        q=np.array([4.0, 2.0, 4.0]),
+        budget=10.0,
+        t0_row=rng.uniform(0.05, 0.2, 4),
+        w_row=rng.uniform(0.5, 3.0, 4),
+        columns=[[0, 2]] * 4 + [[1, 3]] * 2 + [[4, 5]] * 4,
+    )
+
+
+@pytest.mark.parametrize(
+    "make_problem, blocks, largest",
+    [
+        (small_problem, 1, 6),  # A is dense: one block over every column
+        (readme_problem, 2, 6),  # one block per OD pair
+        (hundred_driver_problem, 13, 6),
+        (zero_edge_problem, 1, 6),  # a column with no nonzero in A
+        (interleaved_problem, 2, 4),  # blocks of two sizes, not contiguous
+        (trunk_problem, 1, 477),  # one trunk shared by every pair
+        (lambda: trunk_problem(group=8), 7, 72),  # one trunk per 8 pairs
+    ],
+    ids=["small", "readme", "100 drivers", "zero edge", "interleaved", "one trunk", "trunk per 8"],
+)
+def test_u_factor_matches_dense_inverse(make_problem, blocks, largest):
+    # the block inverses with the Sherman-Morrison step for c c^T must
+    # apply the inverse of the whole dense M
+    p = make_problem()
+    factor = build_u_factor(p)
+    dense = np.linalg.inv(
+        np.eye(p.num_columns)
+        + p.d_matrix.T @ p.d_matrix
+        + p.a_matrix.T @ p.a_matrix
+        + np.outer(p.costs, p.costs)
+    )
+    assert (factor.blocks, factor.largest_block) == (blocks, largest)
+    rng = np.random.default_rng(19)
+    for x in rng.normal(size=(5, p.num_columns)):
+        want = dense @ x
+        assert np.max(np.abs(factor @ x - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_u_factor_is_built_without_a_dense_matrix():
+    # 480 drivers: A is 318 x 318, and the factor's 53 blocks of 6 columns
+    # must be built in less memory than one dense 318 x 318 array
+    p = synthetic_problem(nodes=160, drivers=480)
+    assert p.num_columns == 318
+    tracemalloc.start()
+    try:
+        factor = build_u_factor(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (factor.blocks, factor.largest_block) == (53, 6)
+    assert peak < 318**2 * 8
+
+
+def test_u_factor_on_shared_links_fits_in_the_dense_inverse_memory():
+    # one trunk joins all 477 columns into one block, the dense case: the
+    # build may hold no more than the dense M and its inverse did, plus ten
+    # index or value arrays over the nonzeros of [D; A]
+    p = trunk_problem()
+    n, nonzeros = p.num_columns, p.a_nonzeros[0].size + p.num_columns
+    build_u_factor(p)
+    tracemalloc.start()
+    try:
+        factor = build_u_factor(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (factor.blocks, factor.largest_block) == (1, n)
+    assert peak <= 2 * n * n * 8 + 10 * nonzeros * 8
 
 
 def test_gamma_solve_meets_first_order_condition_near_frozen_reference():
@@ -1007,3 +1128,55 @@ def test_polish_reaches_a_one_exchange_local_optimum():
                 after = realized_travel_time(pipe, deal_counts(moved, pipe.demand))
                 assert polished - after <= 1e-12, (i, j)
     assert total_moves > 0
+
+
+def _random_rounded_counts(rng, p):
+    """The L1 rounding of a Dirichlet-random u* on every OD pair."""
+    demand = SimpleNamespace(blocks=[np.nonzero(row)[0] for row in p.d_matrix], q=p.q)
+    u_star = np.zeros(p.num_columns)
+    for cols, q in zip(demand.blocks, demand.q):
+        u_star[cols] = rng.dirichlet(np.ones(cols.size)) * q
+    return round_counts(u_star, demand, p.costs, p.budget)[0]
+
+
+@pytest.mark.parametrize(
+    "make_problem",
+    [
+        small_problem,
+        readme_problem,
+        lambda: synthetic_problem(nodes=8, drivers=24),
+        hundred_driver_problem,
+        lambda: synthetic_problem(nodes=160, drivers=480),
+        interleaved_problem,
+        lambda: trunk_problem(group=8),
+    ],
+    ids=["small", "6 drivers", "24 drivers", "100 drivers", "480 drivers", "interleaved", "trunk per 8"],
+)
+def test_polish_matches_dense_reference(make_problem):
+    # the row-local polish against the frozen dense one, which scores every
+    # move over every row: the same counts after the same number of moves
+    p = make_problem()
+    rng = np.random.default_rng(13)
+    total_moves = 0
+    for _ in range(4):
+        start = _random_rounded_counts(rng, p)
+        counts, moves = polish_counts(start, p)
+        want_counts, want_moves = admm_reference.polish_counts(start, p)
+        assert np.array_equal(counts, want_counts)
+        assert moves == want_moves
+        total_moves += moves
+    assert total_moves > 0
+
+
+def test_polish_holds_no_rows_by_moves_array():
+    # 480 drivers: 1,590 moves over 318 rows; the polish's peak must stay
+    # below one dense rows x moves float array
+    p = synthetic_problem(nodes=160, drivers=480)
+    start = _random_rounded_counts(np.random.default_rng(13), p)
+    tracemalloc.start()
+    try:
+        polish_counts(start, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 318 * 1590 * 8

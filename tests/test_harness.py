@@ -418,8 +418,9 @@ def test_reports_reproducible():
 
 def test_report_json_carries_admm_counters(tmp_path):
     # the one admm run explains itself in report.json: its iteration count,
-    # converged flag, the rounding's L1 distance to the relaxed counts and
-    # the number of polish moves; at 5 iterations the run does not converge
+    # converged flag, the rounding's L1 distance to the relaxed counts, the
+    # number of polish moves and the u-factor's block structure; at 5
+    # iterations the run does not converge
     for max_iters, converged in ((5, False), (5000, True)):
         outcome = run_experiment(
             generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7),
@@ -439,10 +440,15 @@ def test_report_json_carries_admm_counters(tmp_path):
             np.abs(rounded - np.clip(outcome.admm_result.u, 0.0, None)).sum()
         )
         assert isinstance(extra["polish_moves"], int) and extra["polish_moves"] >= 0
+        # the u step's factor: one block of 6 columns per OD pair
+        assert (extra["u_factor_blocks"], extra["u_factor_largest_block"]) == (2, 6)
         path = tmp_path / "report.json"
         write_report_json(outcome.report, path)
         saved = json.loads(path.read_text())["extra"]
-        for key in ("iterations", "converged", "rounding_l1", "polish_moves"):
+        for key in (
+            "iterations", "converged", "rounding_l1", "polish_moves",
+            "u_factor_blocks", "u_factor_largest_block",
+        ):
             assert saved[key] == extra[key], key
     assert extra["polish_moves"] > 0  # measured: 2 moves on the converged run
 

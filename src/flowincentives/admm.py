@@ -51,6 +51,12 @@ column per ``problem.columns`` entry over every offer column, stays for the
 identity tests with the plain dense products the bit-identity test holds
 it to: the same functions take either layout.
 
+What depends only on the problem is computed once per run, not once per
+sweep: A's nonzeros when the problem is built, M^-1 by ``build_u_factor``,
+and, on the state ``initial_state`` returns, each OD pair's n_k + 1 (the W
+step's divisor), the weights + 2 (the masked S step's divisor) and the
+square roots of q and of the weights that scale the residual norms.
+
 The update formulas come from differentiating the augmented Lagrangian
 directly. In the u step the budget terms enter as
 (-lam6 - rho * beta + rho * budget) * c; dropping rho on the beta and
@@ -87,7 +93,8 @@ class AdmmConfig:
     ``rho`` must exceed ``lambda_reg``, which keeps the H subproblem convex
     (an interval projection). Iteration stops at ``max_iters`` or once all
     seven residual norms fall below ``residual_tol``; ``seed`` drives the
-    block order.
+    block order. ``rho``, ``lambda_reg`` and ``residual_tol`` must be finite;
+    a ``residual_tol`` of 0 runs all ``max_iters`` sweeps.
     """
 
     rho: float = 1.0
@@ -97,10 +104,15 @@ class AdmmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("rho", "lambda_reg", "residual_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite")
         if self.rho <= 0:
             raise InputError("rho must be positive")
         if self.lambda_reg < 0:
             raise InputError("lambda_reg must be nonnegative")
+        if self.residual_tol < 0:
+            raise InputError("residual_tol must be nonnegative")
         if self.rho <= self.lambda_reg:
             raise InputError("rho must exceed lambda_reg (the H step divides by rho - lambda_reg)")
         if self.max_iters < 1:
@@ -172,7 +184,10 @@ class AdmmState:
     ``classes`` gives each column's OD pair and lam2 has one entry per pair.
     Per driver: they are (n_cols x entries) matrices, one column per
     ``problem.columns`` entry, lam2 has one entry per column of S and
-    ``classes`` is None.
+    ``classes`` is None. ``initial_state`` also sets the constants the
+    sweeps divide and scale by, once per run: the divisors are None per
+    driver, and ``norm_scales`` is (sqrt(q) masked or sqrt(weights) per
+    driver, sqrt(weights)).
     """
 
     u: np.ndarray
@@ -190,6 +205,9 @@ class AdmmState:
     lam7: np.ndarray
     weights: np.ndarray  # drivers each S entry stands for, broadcast against S
     classes: np.ndarray = None  # masked layout: the OD pair of each column
+    pair_divisor: np.ndarray = None  # masked layout: n_k + 1 per OD pair, for the W step
+    s_divisor: np.ndarray = None  # masked layout: weights + 2, for the S step
+    norm_scales: tuple = None  # what the column-sum and S-sized residuals are scaled by
     iteration: int = 0
     residual_history: list = field(default_factory=list)
     objective_history: list = field(default_factory=list)
@@ -245,14 +263,18 @@ def initial_state(problem, masked=False):
         s_mat = 1.0 / np.bincount(classes)[classes]
         weights = problem.q[classes]
         n_entries = problem.q.shape[0]
+        pair_divisor = np.bincount(classes, minlength=n_entries) + 1.0
+        s_divisor = weights + 2.0
+        norm_scales = (np.sqrt(problem.q), np.sqrt(weights))
     else:
-        classes = None
+        classes = pair_divisor = s_divisor = None
         pairs = _entry_pairs(problem.d_matrix, problem.columns)
         weights = problem.q[pairs] / np.bincount(pairs)[pairs]
         n_entries = problem.num_drivers
         s_mat = np.zeros((n_cols, n_entries))
         for n, allowed in enumerate(problem.columns):
             s_mat[allowed, n] = 1.0 / len(allowed)
+        norm_scales = (np.sqrt(weights),) * 2
     u = _offer_mass(s_mat, weights)
     gamma = _volume(u, problem, classes)
     beta = max(0.0, problem.budget - float(problem.costs @ u))
@@ -274,6 +296,9 @@ def initial_state(problem, masked=False):
         lam7=np.zeros(s_mat.shape),
         weights=weights,
         classes=classes,
+        pair_divisor=pair_divisor,
+        s_divisor=s_divisor,
+        norm_scales=norm_scales,
     )
 
 
@@ -442,40 +467,45 @@ def u_update(state, problem, rho, u_factor):
     return u_factor @ rhs
 
 
-def w_update(s_mat, lam2, lam7, rho, classes=None):
+def w_update(s_mat, lam2, lam7, rho, classes=None, divisor=None):
     """Closed form for the column-sum copy via its rank-one inverse:
     g = 1 + S - (lam7 + lam2) / rho, less its column sums over m + 1.
 
     Masked (``classes`` given), lam2 has one entry per OD pair and g is
-    less its sum over the column's block over n_k + 1 instead.
+    less its sum over the column's block over n_k + 1 instead; ``divisor``
+    holds n_k + 1 per pair and is counted here when not given.
     """
     if classes is None:
         m = s_mat.shape[0]
         g = 1.0 + s_mat - (lam7 + lam2[None, :]) / rho
         return g - g.sum(axis=0, keepdims=True) / (m + 1.0)
     g = 1.0 + s_mat - (lam7 + lam2[classes]) / rho
-    sizes = np.bincount(classes, minlength=lam2.size)
-    return g - (np.bincount(classes, g, lam2.size) / (sizes + 1.0))[classes]
+    if divisor is None:
+        divisor = np.bincount(classes, minlength=lam2.size) + 1.0
+    return g - (np.bincount(classes, g, lam2.size) / divisor)[classes]
 
 
 def h_update(s_mat, lam5, rho, lambda_reg):
     """Box projection of (rho S - lam5 - lambda_reg / 2) / (rho - lambda_reg)."""
     x = (rho * s_mat - lam5 - lambda_reg / 2.0) / (rho - lambda_reg)
-    return np.clip(x, 0.0, 1.0)
+    return x.clip(0.0, 1.0)
 
 
-def s_update(u, h_mat, w_mat, lam1, lam5, lam7, rho, weights=None):
+def s_update(u, h_mat, w_mat, lam1, lam5, lam7, rho, weights=None, divisor=None):
     """Assignment update via the rank-one inverse of (rho w 1^T + 2 rho I).
 
     Columns decouple given one shared weighted row sum: with
     g = u + (lam5 + lam7 - lam1) / rho + H + W, S is g less its w-weighted
     row sums over sum(w) + 2, halved. Masked (vector S), each row holds one
-    entry and S = g / (w + 2). ``weights`` defaults to one per entry.
+    entry and S = g / (w + 2); ``divisor`` holds w + 2 and is computed here
+    when not given. ``weights`` defaults to one per entry.
     """
     if weights is None:
         weights = np.ones(h_mat.shape[-1])
     if h_mat.ndim == 1:
-        return (u + (lam5 + lam7 - lam1) / rho + h_mat + w_mat) / (weights + 2.0)
+        if divisor is None:
+            divisor = weights + 2.0
+        return (u + (lam5 + lam7 - lam1) / rho + h_mat + w_mat) / divisor
     g = u[:, None] + (lam5 + lam7 - lam1[:, None]) / rho + h_mat + w_mat
     return (g - (g * weights).sum(axis=1, keepdims=True) / (weights.sum() + 2.0)) / 2.0
 
@@ -488,7 +518,7 @@ def gamma_subproblem(a_u, lam4, rho, t0, w):
     derivative there is nonnegative, otherwise once every row's derivative
     is below 1e-10 in absolute value, or after 200 passes.
     """
-    scalar = np.isscalar(a_u) or np.ndim(a_u) == 0
+    scalar = np.ndim(a_u) == 0
     out = gamma_solve(a_u, lam4, rho, t0, w)
     return float(out[0]) if scalar else out
 
@@ -568,13 +598,15 @@ def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
     for block in order:
         if block == 0:
             state.u = u_update(state, p, rho, u_factor)
-            state.w_mat = w_update(state.s_mat, state.lam2, state.lam7, rho, state.classes)
+            state.w_mat = w_update(
+                state.s_mat, state.lam2, state.lam7, rho, state.classes, state.pair_divisor
+            )
             state.h_mat = h_update(state.s_mat, state.lam5, rho, cfg.lambda_reg)
             volume = None
         else:
             state.s_mat = s_update(
                 state.u, state.h_mat, state.w_mat, state.lam1, state.lam5, state.lam7, rho,
-                state.weights,
+                state.weights, state.s_divisor,
             )
             volume = _volume(state.u, p, state.classes)
             state.gamma = gamma_subproblem(volume, state.lam4, rho, p.t0_row, p.w_row)
@@ -583,13 +615,12 @@ def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
         volume = _volume(state.u, p, state.classes)
 
     r1, r2, r3, r4, r5, r6, r7 = residual_vectors(state, p, volume)
-    root = np.sqrt(state.weights)
-    sums_root = root if state.classes is None else np.sqrt(p.q)
+    sums_root, root = state.norm_scales
     scaled = (r1, r2 * sums_root, r3, r4, r5 * root, r6, r7 * root)
     # the norms read every block (each feeds some residual linearly), so a
     # NaN or inf anywhere shows up here; name the block before duals move
-    norms = np.array([math.sqrt(x.dot(x)) for x in (r.ravel() for r in scaled)])
-    if not np.isfinite(norms).all():
+    norms = [math.sqrt(x.dot(x)) for x in (r.ravel() for r in scaled)]
+    if not math.isfinite(sum(norms)):
         _check_finite(state, state.iteration)
 
     state.lam1 = state.lam1 + rho * r1
@@ -601,7 +632,7 @@ def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
     state.lam7 = state.lam7 + rho * r7
 
     state.iteration += 1
-    state.residual_history.append(norms)
+    state.residual_history.append(np.array(norms))
     state.objective_history.append(_bpr_total(volume, p))
     return state
 

@@ -8,7 +8,9 @@ with d the BPR delay t0 * (1 + 0.15 (g/w)^4). Rows whose derivative
 phi(g) = t0 + q g^4 - lam + rho (g - m), q = 0.75 t0 / w^4, is already
 nonnegative at 0 have their root at 0; they are dropped before the Newton
 loop, which runs on the compressed remaining rows only and scatters its
-roots back at the end. Plain Newton needs no safeguard there: on g >= 0,
+roots back at the end. A pass evaluates phi in Horner form,
+c0 + g (q g^3 + rho) with c0 = phi(0) = t0 - lam - rho m, and reuses
+q g^3 for the slope. Plain Newton needs no safeguard there: on g >= 0,
 phi' = 4 q g^3 + rho >= rho > 0 and phi'' = 12 q g^2 >= 0, and a tangent
 under-estimates a convex function, so a step from any g >= 0 lands at or
 right of the root, and from there the iterates decrease monotonically onto
@@ -54,23 +56,29 @@ def _per_row(x, shape):
 
 
 def gamma_solve(m, lam, rho, t0, w):
-    """Vectorized Newton for the volume prox, one root per row."""
-    m = np.asarray(m, dtype=float).ravel()
-    rho = float(rho)
-    lam, t0, w = (_per_row(x, m.shape) for x in (lam, t0, w))
+    """Vectorized Newton for the volume prox, one root per row.
+
+    Vectors of one length, as the sweep passes them, are used as they
+    are; anything else is raveled and broadcast to ``m``'s rows.
+    """
+    full = type(m) is np.ndarray and m.ndim == 1
+    if not (full and all(type(x) is np.ndarray and x.shape == m.shape for x in (lam, t0, w))):
+        m = np.asarray(m, dtype=float).ravel()
+        lam, t0, w = (_per_row(x, m.shape) for x in (lam, t0, w))
+    # phi(0); only rows where it is negative have a positive root
+    c0 = t0 - lam - rho * m
+    active = (c0 < 0.0).nonzero()[0]
+    c0, t0, w = c0[active], t0[active], w[active]
     quart = 0.75 * t0 / w**4
-    roots = np.zeros(m.shape)
-    # only rows with a negative derivative at 0, t0 - lam - rho m, have a
-    # positive root
-    active = t0 - lam - rho * m < 0.0
-    m, lam, t0, quart = m[active], lam[active], t0[active], quart[active]
-    quart4 = 4.0 * quart
-    g = np.maximum(m, 0.0)
+    g = np.maximum(m[active], 0.0)
     for _ in range(200):
-        d = t0 + quart * g**4 - lam + rho * (g - m)
+        # phi(g) = c0 + g (q g^3 + rho), phi'(g) = 4 q g^3 + rho
+        q_cube = quart * (g * g * g)
+        d = c0 + g * (q_cube + rho)
         if np.abs(d).max(initial=0.0) < DERIVATIVE_TOL:
             break
-        g = g - d / (quart4 * g**3 + rho)
+        g = g - d / (4.0 * q_cube + rho)
+    roots = np.zeros(m.shape)
     roots[active] = g
     return roots
 

@@ -202,7 +202,7 @@ class _Tableau:
         self.at_upper[j] = False
         row = self.t[r] / col[r]
         col[r] = 0.0
-        rows = np.flatnonzero(col)
+        rows = col.nonzero()[0]
         self.t[rows] -= np.outer(col[rows], row)
         self.t[r] = row
         self.d -= self.d[j] * row
@@ -220,7 +220,7 @@ def _primal_simplex(tab):
         movable = tab.movable()
         up = movable & ~tab.at_upper & (tab.d < -_REDUCED_COST_TOL)
         down = movable & tab.at_upper & (tab.d > _REDUCED_COST_TOL)
-        eligible = np.flatnonzero(up | down)
+        eligible = (up | down).nonzero()[0]
         if eligible.size == 0:
             return "optimal", pivots
         j = eligible[0]
@@ -242,7 +242,7 @@ def _primal_simplex(tab):
             tab.beta -= direction * span * tab.t[:, j]
             tab.at_upper[j] = not tab.at_upper[j]
             continue
-        ties = np.flatnonzero(ratios <= step + _TIE_TOL)
+        ties = (ratios <= step + _TIE_TOL).nonzero()[0]
         r = ties[np.argmin(tab.basis[ties])]
         tab.pivot(r, j, direction * step, leave_upper=bool(col[r] < 0))
         pivots += 1
@@ -259,7 +259,7 @@ def _dual_simplex(tab):
         lo_b, hi_b = tab.lo[tab.basis], tab.hi[tab.basis]
         above = tab.beta - hi_b
         excess = np.maximum(lo_b - tab.beta, above)
-        bad = np.flatnonzero(excess > tab.form.feas_tol)
+        bad = (excess > tab.form.feas_tol).nonzero()[0]
         if bad.size == 0:
             return "optimal", pivots
         r = bad[np.argmin(tab.basis[bad])]
@@ -268,7 +268,7 @@ def _dual_simplex(tab):
         # toward the bound it broke
         push = tab.t[r] if too_high else -tab.t[r]
         push = np.where(tab.at_upper, -push, push)
-        eligible = np.flatnonzero(tab.movable() & (push > _PIVOT_TOL))
+        eligible = (tab.movable() & (push > _PIVOT_TOL)).nonzero()[0]
         if eligible.size == 0:
             return "infeasible", pivots
         ratios = np.abs(tab.d[eligible]) / push[eligible]
@@ -300,7 +300,7 @@ def solve_lp(lp):
     )
     tab.price(np.concatenate([np.zeros(n_cols), np.ones(m)]))
     _, pivots = _primal_simplex(tab)
-    artificial_rows = np.flatnonzero(tab.basis >= n_cols)
+    artificial_rows = (tab.basis >= n_cols).nonzero()[0]
     if tab.beta[artificial_rows].sum() > form.feas_tol:
         return LpResult(status="infeasible", pivots=pivots)
     # pivot the artificials left at zero out of the basis; [A I] has full

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -120,6 +121,20 @@ def test_config_validation():
         AdmmConfig(max_iters=0)
     with pytest.raises(InputError):
         AdmmConfig(lambda_reg=-0.1)
+    # a NaN compares false with every bound, and such a run would only
+    # stop at max_iters
+    for bad in (
+        dict(rho=math.nan),
+        dict(rho=math.inf),
+        dict(lambda_reg=math.nan),
+        dict(rho=math.inf, lambda_reg=math.inf),
+        dict(residual_tol=math.nan),
+        dict(residual_tol=math.inf),
+        dict(residual_tol=-1e-4),
+    ):
+        with pytest.raises(InputError):
+            AdmmConfig(**bad)
+    assert AdmmConfig(residual_tol=0.0).residual_tol == 0.0
 
 
 def test_problem_columns_must_be_whole_od_blocks():

@@ -177,6 +177,18 @@ def test_negative_rel_gap_exit_code(tmp_path, capsys):
     assert not (tmp_path / "x" / "report.json").exists()
 
 
+def test_nan_tolerance_exit_code(tmp_path, capsys):
+    # NaN passes every comparison-based check; the run would use up max_iters
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--preset", "appendix-c", "--out", str(scenario)])
+    capsys.readouterr()
+    code = main(["solve", str(scenario), "--model", "admm", "--tol", "nan",
+                 "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    assert "residual_tol" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "report.json").exists()
+
+
 def test_generate_later_entrants_need_two_intervals(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     code = main(["generate", "--nodes", "8", "--drivers", "24", "--later-fraction", "0.5",

@@ -456,14 +456,24 @@ def test_report_json_carries_admm_counters(tmp_path):
 def test_admm_report_row_at_100_drivers_is_frozen():
     # frozen from the masked class relaxation (numpy 2.4.6), which the
     # masked per-driver iteration matches to rounding; the report must
-    # stay byte for byte
-    scenario = generate_synthetic(nodes=40, richness=2, tightness=1.3, drivers=100, seed=7)
-    outcome = run_experiment(scenario, "admm", 100.0)
-    assert outcome.admm_result.iterations == 91
-    assert report_csv_row(outcome.report) == (
-        "admm,100,1,7,100,46,2.173913043,18.96426131,18.89701221,0.3546096519,"
-        "10.61190814,0:54;2:45;10:1"
-    )
+    # stay byte for byte, at 100 drivers and at the benchmark's 480
+    frozen = {
+        (40, 100): (
+            91,
+            "admm,100,1,7,100,46,2.173913043,18.96426131,18.89701221,0.3546096519,"
+            "10.61190814,0:54;2:45;10:1",
+        ),
+        (160, 480): (
+            604,
+            "admm,100,1,7,64,5,2.666666667,93.49353741,93.15539863,0.3616707436,"
+            "53.35829821,0:456;2:22;10:2",
+        ),
+    }
+    for (nodes, drivers), (sweeps, row) in frozen.items():
+        scenario = generate_synthetic(nodes=nodes, richness=2, tightness=1.3, drivers=drivers, seed=7)
+        outcome = run_experiment(scenario, "admm", 100.0)
+        assert outcome.admm_result.iterations == sweeps, drivers
+        assert report_csv_row(outcome.report) == row, drivers
 
 
 def test_sweep_rows_and_csv(tmp_path):

@@ -174,26 +174,11 @@ def cmd_report(args):
 
     with open(args.report) as fh:
         obj = json.load(fh)
+    report = ExperimentReport.from_json_dict(obj)
     width = max(len(k) for k in obj)
     for key in sorted(obj):
         print(f"{key:<{width}}  {obj[key]}")
     if args.csv:
-        report = ExperimentReport(
-            model=obj["model"],
-            budget=obj["budget"],
-            cost_used=obj["cost_used"],
-            pct_rewarded_drivers=obj["pct_rewarded_drivers"],
-            avg_incentive_rewarded=obj["avg_incentive_rewarded"],
-            baseline_tt_hours=obj["baseline_tt_hours"],
-            achieved_tt_hours=obj["achieved_tt_hours"],
-            pct_reduction=obj["pct_reduction"],
-            value_of_saved_time=obj["value_of_saved_time"],
-            incentive_distribution={float(k): v for k, v in obj["incentive_distribution"].items()},
-            penetration_rate=obj["penetration_rate"],
-            seed=obj["seed"],
-            wall_time_s=obj.get("wall_time_s", 0.0),
-            extra=obj.get("extra", {}),
-        )
         with open(args.csv, "w") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             fh.write(report_csv_row(report) + "\n")

@@ -12,10 +12,12 @@ whatever capacity multiplier the linear model used internally.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -123,39 +125,44 @@ def scenario_to_json(scenario):
 
 
 def scenario_from_json(obj):
-    net, od_rows = network_from_json(obj["network"])
-    od_pairs = [(o, d) for (o, d, _) in od_rows]
-    od_index = {pair: i for i, pair in enumerate(od_pairs)}
-    if "demand" in obj and obj["demand"]:
-        demand = []
-        for entry in obj["demand"]:
-            pair = (entry["origin"], entry["destination"])
-            if pair not in od_index:
-                raise InputError(f"demand entry references unknown OD pair {pair}")
-            demand.append((od_index[pair], int(entry.get("entrance_time", 1)), int(entry["count"])))
-    else:
-        demand = [(i, 1, n) for i, (_, _, n) in enumerate(od_rows) if n > 0]
-    choice = obj.get("choice", {})
-    menu = IncentiveMenu(tuple(choice.get("incentive_amounts", (0.0, 2.0, 10.0))))
-    coeffs = ChoiceCoefficients(
-        theta_tt=float(choice.get("theta_tt", -0.086)),
-        theta_inc=float(choice.get("theta_inc", 0.7)),
-    )
-    return Scenario(
-        net=net,
-        od_pairs=od_pairs,
-        demand=sorted(demand, key=lambda e: (e[1], e[0])),
-        horizon=int(obj["horizon"]),
-        unit_length_hours=float(obj["unit_length_hours"]),
-        menu=menu,
-        coeffs=coeffs,
-        penetration_rate=float(obj.get("penetration_rate", 1.0)),
-        seed=int(obj.get("seed", 0)),
-        background_volume=obj.get("background_volume"),
-        vot=float(obj.get("vot", DEFAULT_VALUE_OF_TIME)),
-        congested_estimates=bool(choice.get("congested_estimates", False)),
-        name=obj.get("name", ""),
-    )
+    try:
+        net, od_rows = network_from_json(obj["network"])
+        od_pairs = [(o, d) for (o, d, _) in od_rows]
+        od_index = {pair: i for i, pair in enumerate(od_pairs)}
+        if "demand" in obj and obj["demand"]:
+            demand = []
+            for entry in obj["demand"]:
+                pair = (entry["origin"], entry["destination"])
+                if pair not in od_index:
+                    raise InputError(f"demand entry references unknown OD pair {pair}")
+                demand.append((od_index[pair], int(entry.get("entrance_time", 1)), int(entry["count"])))
+        else:
+            demand = [(i, 1, n) for i, (_, _, n) in enumerate(od_rows) if n > 0]
+        choice = obj.get("choice", {})
+        menu = IncentiveMenu(tuple(choice.get("incentive_amounts", (0.0, 2.0, 10.0))))
+        coeffs = ChoiceCoefficients(
+            theta_tt=float(choice.get("theta_tt", -0.086)),
+            theta_inc=float(choice.get("theta_inc", 0.7)),
+        )
+        return Scenario(
+            net=net,
+            od_pairs=od_pairs,
+            demand=sorted(demand, key=lambda e: (e[1], e[0])),
+            horizon=int(obj["horizon"]),
+            unit_length_hours=float(obj["unit_length_hours"]),
+            menu=menu,
+            coeffs=coeffs,
+            penetration_rate=float(obj.get("penetration_rate", 1.0)),
+            seed=int(obj.get("seed", 0)),
+            background_volume=obj.get("background_volume"),
+            vot=float(obj.get("vot", DEFAULT_VALUE_OF_TIME)),
+            congested_estimates=bool(choice.get("congested_estimates", False)),
+            name=obj.get("name", ""),
+        )
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"malformed scenario JSON: {exc}") from exc
 
 
 def save_scenario(scenario, path):
@@ -419,9 +426,17 @@ class ExperimentOutcome:
     """Report plus the artifacts behind it, for callers that need them."""
 
     report: "ExperimentReport"
-    assignment: np.ndarray
+    counts: np.ndarray  # offer count per column over the eligible drivers
     pipeline: Pipeline
     admm_result: object = None
+
+    @cached_property
+    def assignment(self):
+        """The per-driver S, dealt from ``counts`` the first time it is read."""
+        return deal_counts(self.counts, self.pipeline.demand)
+
+
+_FIELD_PARSERS = {"str": str, "float": float, "int": int, "dict": dict}
 
 
 @dataclass
@@ -442,22 +457,24 @@ class ExperimentReport:
     extra: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        return {
-            "model": self.model,
-            "budget": self.budget,
-            "cost_used": self.cost_used,
-            "pct_rewarded_drivers": self.pct_rewarded_drivers,
-            "avg_incentive_rewarded": self.avg_incentive_rewarded,
-            "baseline_tt_hours": self.baseline_tt_hours,
-            "achieved_tt_hours": self.achieved_tt_hours,
-            "pct_reduction": self.pct_reduction,
-            "value_of_saved_time": self.value_of_saved_time,
-            "incentive_distribution": {str(k): v for k, v in self.incentive_distribution.items()},
-            "penetration_rate": self.penetration_rate,
-            "seed": self.seed,
-            "wall_time_s": self.wall_time_s,
-            "extra": self.extra,
-        }
+        obj = dataclasses.asdict(self)
+        obj["incentive_distribution"] = {str(k): v for k, v in self.incentive_distribution.items()}
+        return obj
+
+    @classmethod
+    def from_json_dict(cls, obj):
+        """Inverse of ``to_json_dict``: each field parsed as its annotated
+        type, a missing ``wall_time_s`` read as 0, and malformed input
+        raised as InputError."""
+        try:
+            values = {
+                f.name: _FIELD_PARSERS[f.type](obj[f.name]) for f in dataclasses.fields(cls) if f.name in obj
+            }
+            values.setdefault("wall_time_s", 0.0)
+            values["incentive_distribution"] = {float(k): v for k, v in obj["incentive_distribution"].items()}
+            return cls(**values)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise InputError(f"malformed report JSON: {exc}") from exc
 
 
 CSV_COLUMNS = (
@@ -530,9 +547,9 @@ def solve_linear(pipe, budget, alpha=1.0, rel_gap=0.01, alpha_retry=True):
 
 def solve_admm_model(pipe, budget, cfg):
     """One relaxation (``run_admm`` under ``cfg``), its exact L1 rounding to
-    offer counts (``round_counts``), one exchange polish on realized travel
-    time (``polish_counts``), and S dealt once. Returns (binary S,
-    AdmmResult, rounding L1 distance, polish moves).
+    offer counts (``round_counts``) and one exchange polish on realized
+    travel time (``polish_counts``). Returns (offer counts, AdmmResult,
+    rounding L1 distance, polish moves).
     """
     problem = AdmmProblem(
         a_matrix=pipe.a_matrix,
@@ -548,7 +565,7 @@ def solve_admm_model(pipe, budget, cfg):
     result = run_admm(problem, cfg)
     counts, rounding_l1 = round_counts(result.u, pipe.demand, pipe.costs, budget)
     counts, moves = polish_counts(counts, problem)
-    return deal_counts(counts, pipe.demand), result, rounding_l1, moves
+    return counts, result, rounding_l1, moves
 
 
 def run_experiment(
@@ -583,17 +600,18 @@ def run_experiment(
     vot = scenario.vot if vot is None else vot
     pen = scenario.penetration_rate if penetration is None else penetration
     pipe = prepare(scenario, penetration=pen, seed=run_seed)
-    baseline_tt = realized_travel_time(pipe, pipe.demand.zero_counts(pipe.costs))
+    zero_counts = pipe.demand.zero_counts(pipe.costs)
+    baseline_tt = realized_travel_time(pipe, zero_counts)
 
     extra, trace = {}, None
     if pipe.demand.num_drivers == 0:
-        s_mat = zero_assignment(pipe)
+        counts = zero_counts
         extra["note"] = "no eligible drivers; baseline assignment"
     elif model == "linear":
         report1, alpha_used, retries = solve_linear(
             pipe, budget, alpha=alpha, rel_gap=rel_gap, alpha_retry=alpha_retry
         )
-        s_mat = report1.assignment
+        counts = report1.counts
         extra.update(
             {
                 "alpha_used": alpha_used,
@@ -607,7 +625,7 @@ def run_experiment(
             }
         )
     else:
-        s_mat, trace, rounding_l1, moves = solve_admm_model(pipe, budget, cfg)
+        counts, trace, rounding_l1, moves = solve_admm_model(pipe, budget, cfg)
         extra.update(
             {
                 "iterations": trace.iterations,
@@ -621,7 +639,6 @@ def run_experiment(
             }
         )
 
-    counts = s_mat.sum(axis=1)
     achieved_tt = realized_travel_time(pipe, counts)
     cost_used = float(pipe.costs @ counts)
     rewarded = int(round(counts[pipe.costs > 0].sum()))
@@ -644,7 +661,7 @@ def run_experiment(
         wall_time_s=time.perf_counter() - started,
         extra=extra,
     )
-    return ExperimentOutcome(report=report, assignment=s_mat, pipeline=pipe, admm_result=trace)
+    return ExperimentOutcome(report=report, counts=counts, pipeline=pipe, admm_result=trace)
 
 
 @dataclass

@@ -6,7 +6,7 @@ the budget and to per-(time, link) expected-volume caps scaled by the
 multiplier ``alpha``. The multiplier exists because heavily congested
 instances admit no assignment under the raw capacities; it applies only
 inside the optimization, never when realized travel time is evaluated
-afterwards. The optimal counts are dealt to drivers at the end.
+afterwards.
 
 Offer cost is charged per offer made, not per offer accepted.
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .choice import amount_tally
 from .errors import InfeasibleModelError, InputError, SolverLimitError
-from .flow import compose_a, deal_counts
+from .flow import compose_a
 from .lp import LinearProgram, solve_binary_mip
 
 _CAP_TOL = 1e-9
@@ -57,7 +57,7 @@ class Scenario1Model:
     """Built MILP plus the metadata needed to decode and diagnose it."""
 
     lp: LinearProgram
-    demand: object  # DemandModel; deals the optimal counts to drivers
+    demand: object  # DemandModel: the D u = q rows and zero counts
     num_links: int
     free_flow_cost: np.ndarray
     costs: np.ndarray
@@ -68,7 +68,7 @@ class Scenario1Model:
 
 @dataclass
 class Scenario1Report:
-    assignment: np.ndarray  # columns x eligible drivers, binary
+    counts: np.ndarray  # offer count per column, over the eligible drivers
     objective: float  # expected free-flow hours of the decision drivers
     cost_used: float
     offer_counts: dict  # dollar amount -> number of offers
@@ -166,7 +166,7 @@ def _check_counts(model, counts):
 
 
 def solve_scenario1(model, menu, a_matrix, rel_gap=None, node_limit=200_000):
-    """Solve the built MILP and deal the optimal offer counts to drivers.
+    """Solve the built MILP for its optimal offer counts.
 
     ``rel_gap`` defaults to the gap of the config the model was built with.
 
@@ -186,12 +186,10 @@ def solve_scenario1(model, menu, a_matrix, rel_gap=None, node_limit=200_000):
         raise SolverLimitError("node_limit", node_limit)
     counts = res.x
     _check_counts(model, counts)
-    s_mat = deal_counts(counts, model.demand)
-    cost_used = float(model.costs @ counts)
     return Scenario1Report(
-        assignment=s_mat,
+        counts=counts,
         objective=float(model.free_flow_cost @ counts),
-        cost_used=cost_used,
+        cost_used=float(model.costs @ counts),
         offer_counts=amount_tally(menu, counts),
         status=res.status,
         gap=res.gap,

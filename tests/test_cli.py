@@ -3,6 +3,8 @@ import shlex
 import time
 from pathlib import Path
 
+import pytest
+
 import flowincentives.cli as cli
 from flowincentives.cli import main
 from flowincentives.errors import SolverLimitError
@@ -149,6 +151,44 @@ def test_report_verb(tmp_path, capsys):
     assert main(["report", str(out_dir / "report.json"), "--csv", str(csv_path)]) == 0
     assert csv_path.exists()
     assert (out_dir / "report.csv").read_text().splitlines()[1] == csv_path.read_text().splitlines()[1]
+
+
+def test_report_verb_rejects_malformed_report(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--preset", "appendix-c", "--out", str(scenario)])
+    out_dir = tmp_path / "run"
+    main(["solve", str(scenario), "--model", "linear", "--budget", "0", "--out-dir", str(out_dir)])
+    report = json.loads((out_dir / "report.json").read_text())
+    broken = [
+        {k: v for k, v in report.items() if k != "budget"},
+        {**report, "budget": "lots"},
+        {**report, "incentive_distribution": [0, 2]},
+        [report],
+    ]
+    for obj in broken:
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["report", str(path), "--csv", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed report JSON")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("breakage", ["no horizon", "demand without count"])
+def test_solve_rejects_malformed_scenario(tmp_path, capsys, breakage):
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--nodes", "4", "--drivers", "4", "--seed", "1", "--out", str(scenario)])
+    obj = json.loads(scenario.read_text())
+    if breakage == "no horizon":
+        del obj["horizon"]
+    else:
+        del obj["demand"][0]["count"]
+    scenario.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = main(["solve", str(scenario), "--model", "admm", "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: malformed scenario JSON")
+    assert not (tmp_path / "x").exists()
 
 
 def test_infeasible_exit_code(tmp_path):

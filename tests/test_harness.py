@@ -240,6 +240,27 @@ def test_zero_eligible_drivers_fall_back_to_baseline():
     assert "note" in outcome.report.extra
 
 
+def test_run_experiment_never_deals_s(monkeypatch):
+    # every branch hands back offer counts; S is dealt once, on first read
+    calls = []
+    real_deal = harness.deal_counts
+
+    def counting_deal(counts, demand):
+        calls.append(1)
+        return real_deal(counts, demand)
+
+    monkeypatch.setattr(harness, "deal_counts", counting_deal)
+    scenario = generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7)
+    run_experiment(scenario, "linear", budget=100.0, alpha=6.0)
+    run_experiment(generate_synthetic(nodes=4, richness=2, drivers=5, seed=4), "admm", 50.0, penetration=0.1)
+    outcome = run_experiment(scenario, "admm", budget=100.0)
+    assert calls == []
+    first = outcome.assignment
+    assert outcome.assignment is first
+    assert calls == [1]
+    assert np.array_equal(first, real_deal(outcome.counts, outcome.pipeline.demand))
+
+
 @pytest.mark.parametrize("penetration", [0.1, 1.0])
 def test_unknown_model_rejected_before_any_work(monkeypatch, penetration):
     # 0.1 leaves an empty cohort, 1.0 all six drivers: both fail before prepare

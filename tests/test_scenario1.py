@@ -189,7 +189,7 @@ def test_tight_capacity_forces_paid_offer():
             feasible.append(col)
     assert feasible == [1]  # only ($5 on the fast route) passes the cap
     _, report = solve_pipe(pipe, budget=5.0, alpha=1.0)
-    assert report.assignment[1, 0] == 1.0
+    assert report.counts.tolist() == [0.0, 1.0, 0.0, 0.0]
     assert report.cost_used == 5.0
 
 
@@ -223,10 +223,10 @@ def test_solution_satisfies_all_rows():
     pipe = prepare(scenario)
     alpha, budget = 2.0, 12.0
     _, report = solve_pipe(pipe, budget=budget, alpha=alpha, rel_gap=0.01)
-    s = report.assignment
-    assert np.all(s.sum(axis=0) == 1.0)
-    assert float(pipe.costs @ s.sum(axis=1)) <= budget + 1e-9
-    volume = pipe.a_matrix @ s.sum(axis=1) + pipe.background
+    counts = report.counts
+    assert np.array_equal(pipe.demand.d_matrix @ counts, pipe.demand.q)
+    assert float(pipe.costs @ counts) <= budget + 1e-9
+    volume = pipe.a_matrix @ counts + pipe.background
     assert np.all(volume <= alpha * pipe.w_row + 1e-6)
     # cost is charged per offer, not per acceptance: with one $2 offer out,
     # spend equals the face value even though acceptance is fractional
@@ -311,7 +311,7 @@ def test_default_gap_at_100_drivers_matches_scipy_per_driver_milp():
     started = time.perf_counter()
     model, report = solve_pipe(pipe, budget=budget, alpha=alpha, rel_gap=0.01)
     assert time.perf_counter() - started < 5.0
-    counts = report.assignment.sum(axis=1)
+    counts = report.counts
     assert np.array_equal(counts, np.round(counts))
     assert np.array_equal(pipe.demand.d_matrix @ counts, pipe.demand.q)
     assert pipe.costs @ counts <= budget + 1e-9

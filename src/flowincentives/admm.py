@@ -11,8 +11,9 @@ split into consensus copies so every block update has a closed form:
 An optional concave regularizer with weight ``lambda_reg`` (default 0)
 pushes the entries of H toward {0, 1}; with weight zero the problem is
 convex. The iteration is a two-block alternation whose block order is
-randomly permuted each sweep. Seven dual vectors track the seven coupling
-constraints; each dual ascent step adds rho times its residual exactly,
+randomly permuted each sweep. The duals of the seven coupling constraints
+are one flat vector and a sweep's seven residuals one vector of the same
+layout; the dual ascent adds rho times the residual exactly, in one step,
 which the test suite asserts.
 
 The admm model runs one relaxation, then ``round_counts`` finds the integer
@@ -55,7 +56,7 @@ What depends only on the problem is computed once per run, not once per
 sweep: A's nonzeros when the problem is built, M^-1 by ``build_u_factor``,
 and, on the state ``initial_state`` returns, each OD pair's n_k + 1 (the W
 step's divisor), the weights + 2 (the masked S step's divisor) and the
-square roots of q and of the weights that scale the residual norms.
+residual scale, which one multiply applies to a sweep's residuals.
 
 The update formulas come from differentiating the augmented Lagrangian
 directly. In the u step the budget terms enter as
@@ -93,8 +94,8 @@ class AdmmConfig:
     ``rho`` must exceed ``lambda_reg``, which keeps the H subproblem convex
     (an interval projection). Iteration stops at ``max_iters`` or once all
     seven residual norms fall below ``residual_tol``; ``seed`` drives the
-    block order. ``rho``, ``lambda_reg`` and ``residual_tol`` must be finite;
-    a ``residual_tol`` of 0 runs all ``max_iters`` sweeps.
+    block order. ``rho``, ``lambda_reg`` and ``residual_tol`` must be finite
+    and ``max_iters`` an integer; a ``residual_tol`` of 0 runs every sweep.
     """
 
     rho: float = 1.0
@@ -115,8 +116,9 @@ class AdmmConfig:
             raise InputError("residual_tol must be nonnegative")
         if self.rho <= self.lambda_reg:
             raise InputError("rho must exceed lambda_reg (the H step divides by rho - lambda_reg)")
-        if self.max_iters < 1:
-            raise InputError("max_iters must be at least 1")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise InputError("max_iters must be an integer, at least 1")
 
 
 @dataclass
@@ -176,6 +178,16 @@ class AdmmProblem:
         return len(self.columns)
 
 
+def _dual(index):
+    """lam<index + 1>: a view of the state's part of ``duals``, shaped like S
+    for lam5 and lam7 and read as a float for lam6; setting writes into it."""
+    read = float if index == 5 else np.asarray
+    return property(
+        lambda state: read(state.parts()[0][index]),
+        lambda state, value: np.copyto(state.parts()[0][index], value),
+    )
+
+
 @dataclass
 class AdmmState:
     """One iterate, in either layout.
@@ -184,10 +196,13 @@ class AdmmState:
     ``classes`` gives each column's OD pair and lam2 has one entry per pair.
     Per driver: they are (n_cols x entries) matrices, one column per
     ``problem.columns`` entry, lam2 has one entry per column of S and
-    ``classes`` is None. ``initial_state`` also sets the constants the
-    sweeps divide and scale by, once per run: the divisors are None per
-    driver, and ``norm_scales`` is (sqrt(q) masked or sqrt(weights) per
-    driver, sqrt(weights)).
+    ``classes`` is None. The duals are one flat vector, ``duals``: lam1 ...
+    lam7 end to end at ``dual_slices`` (lam5 and lam7 as S raveled), which
+    ``lam1`` ... ``lam7`` read and write as views (``lam6`` as a float).
+    ``initial_state`` also sets the constants the sweeps divide and scale
+    by, once per run: the divisors are None per driver, and
+    ``residual_scale`` holds sqrt(q) masked or sqrt(weights) at lam2,
+    sqrt(weights) at lam5 and lam7, and 1 elsewhere.
     """
 
     u: np.ndarray
@@ -196,21 +211,36 @@ class AdmmState:
     h_mat: np.ndarray
     gamma: np.ndarray
     beta: float
-    lam1: np.ndarray
-    lam2: np.ndarray
-    lam3: np.ndarray
-    lam4: np.ndarray
-    lam5: np.ndarray
-    lam6: float
-    lam7: np.ndarray
+    duals: np.ndarray
+    dual_slices: tuple
     weights: np.ndarray  # drivers each S entry stands for, broadcast against S
     classes: np.ndarray = None  # masked layout: the OD pair of each column
     pair_divisor: np.ndarray = None  # masked layout: n_k + 1 per OD pair, for the W step
     s_divisor: np.ndarray = None  # masked layout: weights + 2, for the S step
-    norm_scales: tuple = None  # what the column-sum and S-sized residuals are scaled by
+    residual_scale: np.ndarray = None  # what a residual vector is scaled by before its norms
     iteration: int = 0
     residual_history: list = field(default_factory=list)
     objective_history: list = field(default_factory=list)
+    lam1, lam2, lam3, lam4, lam5, lam6, lam7 = (_dual(index) for index in range(7))
+
+    def split(self, flat):
+        """The seven parts of a vector laid out like ``duals``, as views,
+        the lam5 and lam7 parts in S's shape."""
+        shapes = (-1, -1, -1, -1, self.s_mat.shape, -1, self.s_mat.shape)
+        return [flat[at].reshape(shape) for at, shape in zip(self.dual_slices, shapes)]
+
+    def parts(self):
+        """Cached views: the duals' seven (lam6 0-d), then a sweep's residual
+        vector with its shaped parts and its scaled copy with flat ones.
+        Rebuilt once ``duals`` is rebound or the state copied."""
+        cached = self.__dict__.get("_parts")
+        if cached is None or cached[0][0].base is not self.duals:
+            lams = self.split(self.duals)
+            lams[5] = lams[5].reshape(())
+            residual, scaled = np.empty((2, self.duals.size))
+            flat = [scaled[at] for at in self.dual_slices]
+            cached = self._parts = (lams, residual, self.split(residual), scaled, flat)
+        return cached
 
 
 @dataclass
@@ -262,43 +292,35 @@ def initial_state(problem, masked=False):
         classes = _column_classes(problem.d_matrix)
         s_mat = 1.0 / np.bincount(classes)[classes]
         weights = problem.q[classes]
-        n_entries = problem.q.shape[0]
-        pair_divisor = np.bincount(classes, minlength=n_entries) + 1.0
+        pair_divisor = np.bincount(classes, minlength=problem.q.size) + 1.0
         s_divisor = weights + 2.0
-        norm_scales = (np.sqrt(problem.q), np.sqrt(weights))
     else:
         classes = pair_divisor = s_divisor = None
         pairs = _entry_pairs(problem.d_matrix, problem.columns)
         weights = problem.q[pairs] / np.bincount(pairs)[pairs]
-        n_entries = problem.num_drivers
-        s_mat = np.zeros((n_cols, n_entries))
+        s_mat = np.zeros((n_cols, problem.num_drivers))
         for n, allowed in enumerate(problem.columns):
             s_mat[allowed, n] = 1.0 / len(allowed)
-        norm_scales = (np.sqrt(weights),) * 2
     u = _offer_mass(s_mat, weights)
-    gamma = _volume(u, problem, classes)
-    beta = max(0.0, problem.budget - float(problem.costs @ u))
-    k = problem.q.shape[0]
-    rows = problem.a_matrix.shape[0]
+    # the residual scale, part by part (lam1 ... lam7), which also lays out the duals
+    root = np.broadcast_to(np.sqrt(weights), s_mat.shape).ravel()
+    ones = [np.ones(size) for size in (n_cols, problem.q.size, problem.background.size, 1)]
+    scale = (ones[0], np.sqrt(problem.q if masked else weights), ones[1], ones[2], root, ones[3], root)
+    ends = np.cumsum([x.size for x in scale]).tolist()
     return AdmmState(
         u=u,
         s_mat=s_mat,
         w_mat=s_mat.copy(),
         h_mat=s_mat.copy(),
-        gamma=gamma,
-        beta=beta,
-        lam1=np.zeros(n_cols),
-        lam2=np.zeros(n_entries),
-        lam3=np.zeros(k),
-        lam4=np.zeros(rows),
-        lam5=np.zeros(s_mat.shape),
-        lam6=0.0,
-        lam7=np.zeros(s_mat.shape),
+        gamma=_volume(u, problem, classes),
+        beta=max(0.0, problem.budget - float(problem.costs @ u)),
+        duals=np.zeros(ends[-1]),
+        dual_slices=tuple(slice(end - x.size, end) for end, x in zip(ends, scale)),
         weights=weights,
         classes=classes,
         pair_divisor=pair_divisor,
         s_divisor=s_divisor,
-        norm_scales=norm_scales,
+        residual_scale=np.concatenate(scale),
     )
 
 
@@ -445,10 +467,10 @@ def u_update(state, problem, rho, u_factor):
     """Solve of the u block; masked, D^T x is x[classes], D^T q the weights
     and A^T one product over A's nonzeros."""
     p = problem
+    lam1, _, lam3, lam4, _, lam6, _ = state.parts()[0]
     if state.classes is None:
         rhs = (
-            (state.lam1 - p.d_matrix.T @ state.lam3 - p.a_matrix.T @ state.lam4 - state.lam6 * p.costs)
-            / rho
+            (lam1 - p.d_matrix.T @ lam3 - p.a_matrix.T @ lam4 - lam6 * p.costs) / rho
             + _offer_mass(state.s_mat, state.weights)
             + p.d_matrix.T @ p.q
             + p.a_matrix.T @ (state.gamma - p.background)
@@ -456,9 +478,9 @@ def u_update(state, problem, rho, u_factor):
         )
     else:
         rows, cols, values = p.a_nonzeros
-        target = state.gamma - p.background - state.lam4 / rho
+        target = state.gamma - p.background - lam4 / rho
         rhs = (
-            (state.lam1 - state.lam3[state.classes] - state.lam6 * p.costs) / rho
+            (lam1 - lam3[state.classes] - lam6 * p.costs) / rho
             + _offer_mass(state.s_mat, state.weights)
             + state.weights
             + np.bincount(cols, values * target[rows], p.num_columns)
@@ -476,9 +498,8 @@ def w_update(s_mat, lam2, lam7, rho, classes=None, divisor=None):
     holds n_k + 1 per pair and is counted here when not given.
     """
     if classes is None:
-        m = s_mat.shape[0]
         g = 1.0 + s_mat - (lam7 + lam2[None, :]) / rho
-        return g - g.sum(axis=0, keepdims=True) / (m + 1.0)
+        return g - g.sum(axis=0, keepdims=True) / (s_mat.shape[0] + 1.0)
     g = 1.0 + s_mat - (lam7 + lam2[classes]) / rho
     if divisor is None:
         divisor = np.bincount(classes, minlength=lam2.size) + 1.0
@@ -518,9 +539,8 @@ def gamma_subproblem(a_u, lam4, rho, t0, w):
     derivative there is nonnegative, otherwise once every row's derivative
     is below 1e-10 in absolute value, or after 200 passes.
     """
-    scalar = np.ndim(a_u) == 0
     out = gamma_solve(a_u, lam4, rho, t0, w)
-    return float(out[0]) if scalar else out
+    return float(out[0]) if np.ndim(a_u) == 0 else out
 
 
 def beta_update(u, lam6, rho, costs, budget):
@@ -535,29 +555,32 @@ def _volume(u, problem, classes=None):
     return np.bincount(rows, values * u[cols], problem.background.size) + problem.background
 
 
-def residual_vectors(state, problem, volume=None):
-    """The seven coupling residuals at the state's current primal values.
-
-    ``volume`` is A u + bg at the state's u, computed here when not given.
+def residual_vectors(state, problem, volume=None, parts=None):
+    """The seven coupling residuals at the state's current primal values,
+    written into and returned as ``parts``, the parts of a vector laid out
+    like ``state.duals`` (a new one when not given). ``volume`` is A u + bg
+    at the state's u, computed here when not given.
     """
     p = problem
     if volume is None:
         volume = _volume(state.u, p, state.classes)
+    if parts is None:
+        parts = state.split(np.empty(state.duals.size))
+    r1, r2, r3, r4, r5, r6, r7 = parts
     if state.classes is None:
         w_sums = state.w_mat.sum(axis=0)
         demand = p.d_matrix @ state.u
     else:
         w_sums = np.bincount(state.classes, state.w_mat, p.q.size)
         demand = np.bincount(state.classes, state.u, p.q.size)
-    return (
-        _offer_mass(state.s_mat, state.weights) - state.u,
-        w_sums - 1.0,
-        demand - p.q,
-        volume - state.gamma,
-        state.h_mat - state.s_mat,
-        np.array([float(p.costs @ state.u) + state.beta - p.budget]),
-        state.w_mat - state.s_mat,
-    )
+    np.subtract(_offer_mass(state.s_mat, state.weights), state.u, r1)
+    np.subtract(w_sums, 1.0, r2)
+    np.subtract(demand, p.q, r3)
+    np.subtract(volume, state.gamma, r4)
+    np.subtract(state.h_mat, state.s_mat, r5)
+    r6[0] = float(p.costs @ state.u) + state.beta - p.budget
+    np.subtract(state.w_mat, state.s_mat, r7)
+    return parts
 
 
 def _bpr_total(volume, problem):
@@ -570,15 +593,9 @@ def relaxed_objective(u, problem):
 
 
 def _check_finite(state, iteration):
-    for block, value in (
-        ("u", state.u),
-        ("S", state.s_mat),
-        ("W", state.w_mat),
-        ("H", state.h_mat),
-        ("gamma", state.gamma),
-        ("beta", np.array([state.beta])),
-    ):
-        if not np.all(np.isfinite(value)):
+    blocks = {"u": state.u, "S": state.s_mat, "W": state.w_mat, "H": state.h_mat, "gamma": state.gamma}
+    for block, value in {**blocks, "beta": state.beta}.items():
+        if not np.isfinite(value).all():
             raise DivergenceError(block, iteration)
 
 
@@ -594,43 +611,34 @@ def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
         u_factor = build_u_factor(problem)
     rho = cfg.rho
     p = problem
+    (lam1, lam2, _, lam4, lam5, lam6, lam7), residual, parts, scaled, scaled_parts = state.parts()
     volume = None  # A u + bg at the current u, once block 1 has computed it
     for block in order:
         if block == 0:
             state.u = u_update(state, p, rho, u_factor)
-            state.w_mat = w_update(
-                state.s_mat, state.lam2, state.lam7, rho, state.classes, state.pair_divisor
-            )
-            state.h_mat = h_update(state.s_mat, state.lam5, rho, cfg.lambda_reg)
+            state.w_mat = w_update(state.s_mat, lam2, lam7, rho, state.classes, state.pair_divisor)
+            state.h_mat = h_update(state.s_mat, lam5, rho, cfg.lambda_reg)
             volume = None
         else:
             state.s_mat = s_update(
-                state.u, state.h_mat, state.w_mat, state.lam1, state.lam5, state.lam7, rho,
-                state.weights, state.s_divisor,
+                state.u, state.h_mat, state.w_mat, lam1, lam5, lam7, rho, state.weights, state.s_divisor
             )
             volume = _volume(state.u, p, state.classes)
-            state.gamma = gamma_subproblem(volume, state.lam4, rho, p.t0_row, p.w_row)
-            state.beta = beta_update(state.u, state.lam6, rho, p.costs, p.budget)
+            state.gamma = gamma_subproblem(volume, lam4, rho, p.t0_row, p.w_row)
+            state.beta = beta_update(state.u, float(lam6), rho, p.costs, p.budget)
     if volume is None:
         volume = _volume(state.u, p, state.classes)
 
-    r1, r2, r3, r4, r5, r6, r7 = residual_vectors(state, p, volume)
-    sums_root, root = state.norm_scales
-    scaled = (r1, r2 * sums_root, r3, r4, r5 * root, r6, r7 * root)
+    residual_vectors(state, p, volume, parts)
+    np.multiply(residual, state.residual_scale, scaled)
     # the norms read every block (each feeds some residual linearly), so a
     # NaN or inf anywhere shows up here; name the block before duals move
-    norms = [math.sqrt(x.dot(x)) for x in (r.ravel() for r in scaled)]
+    norms = [math.sqrt(x.dot(x)) for x in scaled_parts]
     if not math.isfinite(sum(norms)):
         _check_finite(state, state.iteration)
 
-    state.lam1 = state.lam1 + rho * r1
-    state.lam2 = state.lam2 + rho * r2
-    state.lam3 = state.lam3 + rho * r3
-    state.lam4 = state.lam4 + rho * r4
-    state.lam5 = state.lam5 + rho * r5
-    state.lam6 = state.lam6 + rho * float(r6[0])
-    state.lam7 = state.lam7 + rho * r7
-
+    residual *= rho
+    state.duals += residual
     state.iteration += 1
     state.residual_history.append(np.array(norms))
     state.objective_history.append(_bpr_total(volume, p))

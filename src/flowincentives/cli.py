@@ -161,7 +161,7 @@ def cmd_oracle(args):
             {
                 "objective": result.objective,
                 "feasible_assignments": result.feasible_count,
-                "offers": result.assignment.sum(axis=1).tolist(),
+                "offers": result.counts.tolist(),
             },
             indent=2,
         )

@@ -666,9 +666,15 @@ def run_experiment(
 
 @dataclass
 class OracleResult:
-    assignment: np.ndarray
+    counts: np.ndarray
     objective: float
     feasible_count: int
+    demand: object = field(repr=False)
+
+    @cached_property
+    def assignment(self):
+        """The per-driver S, dealt from ``counts`` the first time it is read."""
+        return deal_counts(self.counts, self.demand)
 
 
 def brute_force_oracle(
@@ -690,8 +696,8 @@ def brute_force_oracle(
     interchangeable, so the search runs over offer counts: every
     composition of each pair's drivers over its columns, in the order
     ``kernels.enumerate_assignments`` documents, and the winning counts are
-    dealt to drivers once by ``deal_counts``. Ties return the
-    lexicographically smallest per-driver choice vector, and
+    returned (``OracleResult.assignment`` deals them to drivers). Ties return
+    the lexicographically smallest per-driver choice vector, and
     ``feasible_count`` still counts per-driver assignments. Refuses
     instances with more than ``limit`` count vectors.
     """
@@ -722,9 +728,7 @@ def brute_force_oracle(
     )
     if count == 0:
         raise InfeasibleModelError("no feasible assignment under the given constraints")
-    return OracleResult(
-        assignment=deal_counts(best_u, pipe.demand), objective=best_obj, feasible_count=count
-    )
+    return OracleResult(counts=best_u, objective=best_obj, feasible_count=count, demand=pipe.demand)
 
 
 def sweep(scenario, model, budgets, penetrations, **kwargs):

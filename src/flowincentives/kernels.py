@@ -6,18 +6,19 @@ The prox kernel solves, independently for every (time, link) row,
 
 with d the BPR delay t0 * (1 + 0.15 (g/w)^4). Rows whose derivative
 phi(g) = t0 + q g^4 - lam + rho (g - m), q = 0.75 t0 / w^4, is already
-nonnegative at 0 have their root at 0; they are dropped before the Newton
-loop, which runs on the compressed remaining rows only and scatters its
-roots back at the end. A pass evaluates phi in Horner form,
-c0 + g (q g^3 + rho) with c0 = phi(0) = t0 - lam - rho m, and reuses
-q g^3 for the slope. Plain Newton needs no safeguard there: on g >= 0,
-phi' = 4 q g^3 + rho >= rho > 0 and phi'' = 12 q g^2 >= 0, and a tangent
-under-estimates a convex function, so a step from any g >= 0 lands at or
-right of the root, and from there the iterates decrease monotonically onto
-it (the Fourier condition; Ortega & Rheinboldt, *Iterative Solution of
-Nonlinear Equations in Several Variables*, 1970). A row already within the
-tolerance is only refined, never knocked back. The loop stops once every
-row has |phi| < ``DERIVATIVE_TOL``, or after 200 passes.
+nonnegative at 0 have their root at 0. The Newton loop runs over every
+row: those rows start at 0 with c0 = phi(0) = t0 - lam - rho m clamped to
+0, where phi is exactly 0, so no pass moves them, and every other row
+sees the operations it would see alone. A pass evaluates phi in Horner
+form, c0 + g (q g^3 + rho), and reuses q g^3 for the slope. Plain Newton
+needs no safeguard: on g >= 0, phi' = 4 q g^3 + rho >= rho > 0 and
+phi'' = 12 q g^2 >= 0, and a tangent under-estimates a convex function,
+so a step from any g >= 0 lands at or right of the root, and from there
+the iterates decrease monotonically onto it (the Fourier condition;
+Ortega & Rheinboldt, *Iterative Solution of Nonlinear Equations in
+Several Variables*, 1970). A row already within the tolerance is only
+refined, never knocked back. The loop stops once every row has
+|phi| < ``DERIVATIVE_TOL``, or after 200 passes.
 
 The enumeration kernel searches offer counts, not per-driver choices:
 drivers of one OD pair are interchangeable, so each pair contributes its
@@ -49,28 +50,17 @@ def bpr_terms(v, t0, w):
     return v * t0 * (1.0 + 0.15 * (v / w) ** 4)
 
 
-def _per_row(x, shape):
-    """``x`` as floats of the given shape; scalars are broadcast."""
-    x = np.asarray(x, dtype=float)
-    return x if x.shape == shape else np.broadcast_to(x, shape)
-
-
 def gamma_solve(m, lam, rho, t0, w):
-    """Vectorized Newton for the volume prox, one root per row.
-
-    Vectors of one length, as the sweep passes them, are used as they
-    are; anything else is raveled and broadcast to ``m``'s rows.
-    """
-    full = type(m) is np.ndarray and m.ndim == 1
-    if not (full and all(type(x) is np.ndarray and x.shape == m.shape for x in (lam, t0, w))):
+    """Vectorized Newton for the volume prox, one root per entry of ``m``,
+    which is raveled; the other arguments broadcast against it."""
+    if type(m) is not np.ndarray or m.ndim != 1:
         m = np.asarray(m, dtype=float).ravel()
-        lam, t0, w = (_per_row(x, m.shape) for x in (lam, t0, w))
-    # phi(0); only rows where it is negative have a positive root
+    # phi(0), clamped to 0: rows where it is nonnegative start at their root, 0, and stay
     c0 = t0 - lam - rho * m
-    active = (c0 < 0.0).nonzero()[0]
-    c0, t0, w = c0[active], t0[active], w[active]
+    g = np.maximum(m, 0.0)
+    np.copyto(g, 0.0, where=c0 >= 0.0)
+    np.minimum(c0, 0.0, out=c0)
     quart = 0.75 * t0 / w**4
-    g = np.maximum(m[active], 0.0)
     for _ in range(200):
         # phi(g) = c0 + g (q g^3 + rho), phi'(g) = 4 q g^3 + rho
         q_cube = quart * (g * g * g)
@@ -78,9 +68,7 @@ def gamma_solve(m, lam, rho, t0, w):
         if np.abs(d).max(initial=0.0) < DERIVATIVE_TOL:
             break
         g = g - d / (4.0 * q_cube + rho)
-    roots = np.zeros(m.shape)
-    roots[active] = g
-    return roots
+    return g
 
 
 def _compositions(total, parts, memo):

@@ -15,11 +15,14 @@ lam2 has one entry per driver. Drivers of one pair stay equal from the
 uniform start, so the package's one q_k-weighted entry per column must
 tell the same story to rounding.
 
-The package's prox is no longer this one: it runs plain Newton on
-compressed rows where ``gamma_solve`` here keeps the safeguarded,
-bracketed Newton over every row. Both stop at the same |phi| < 1e-10, so
-their roots agree to within 1e-9, not to the bit; the bit-identity test
-runs the package's sweep with this prox substituted for its own.
+The package's prox is no longer this one: it runs plain Newton over
+every row, rows whose phi(0) >= 0 held at 0, where ``gamma_solve`` here
+keeps the safeguarded, bracketed Newton. Both stop at the same
+|phi| < 1e-10, so their roots agree to within 1e-9, not to the bit; the
+bit-identity test runs the package's sweep with this prox substituted for
+its own. ``compressed_gamma_solve`` keeps the plain Newton as it ran on
+the compressed rows with phi(0) < 0 alone, scattering its roots back: the
+package's every-row prox must equal it to the bit.
 
 ``polish_counts`` keeps the dense 1-exchange polish the package's
 row-local one must match move for move: it scores every move over every
@@ -64,6 +67,26 @@ def gamma_solve(m, lam, rho, t0, w, tol=1e-10):
         outside = (step <= lo) | (step >= hi) | ~np.isfinite(step)
         g = np.where(active, np.where(outside, 0.5 * (lo + hi), step), 0.0)
     return g
+
+
+def compressed_gamma_solve(m, lam, rho, t0, w, tol=1e-10):
+    """Plain Newton on the rows where phi(0) < 0 only, roots scattered back."""
+    m = np.asarray(m, dtype=float).ravel()
+    lam, t0, w = (np.broadcast_to(np.asarray(x, dtype=float), m.shape) for x in (lam, t0, w))
+    c0 = t0 - lam - rho * m
+    active = (c0 < 0.0).nonzero()[0]
+    c0, t0, w = c0[active], t0[active], w[active]
+    quart = 0.75 * t0 / w**4
+    g = np.maximum(m[active], 0.0)
+    for _ in range(200):
+        q_cube = quart * (g * g * g)
+        d = c0 + g * (q_cube + rho)
+        if np.abs(d).max(initial=0.0) < tol:
+            break
+        g = g - d / (4.0 * q_cube + rho)
+    roots = np.zeros(m.shape)
+    roots[active] = g
+    return roots
 
 
 def _volume(u, p):

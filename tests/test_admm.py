@@ -119,6 +119,10 @@ def test_config_validation():
         AdmmConfig(rho=0.0)
     with pytest.raises(InputError):
         AdmmConfig(max_iters=0)
+    for bad in (1e3, 5000.0, "5000", True, None):
+        with pytest.raises(InputError, match="max_iters must be an integer"):
+            AdmmConfig(max_iters=bad)
+    assert AdmmConfig(max_iters=np.int64(7)).max_iters == 7
     with pytest.raises(InputError):
         AdmmConfig(lambda_reg=-0.1)
     # a NaN compares false with every bound, and such a run would only
@@ -937,9 +941,19 @@ def test_u_factor_on_shared_links_fits_in_the_dense_inverse_memory():
     assert peak <= 2 * n * n * 8 + 10 * nonzeros * 8
 
 
+def assert_prox_matches_compressed_newton(m, lam, rho, t0, w):
+    """The every-row prox equals the frozen compressed Newton to the bit,
+    and every row with phi(0) >= 0 comes back exactly 0."""
+    got = gamma_solve(m, lam, rho, t0, w)
+    assert np.array_equal(got, admm_reference.compressed_gamma_solve(m, lam, rho, t0, w))
+    assert (got[prox_derivative(0.0, m, lam, rho, t0, w) >= 0.0] == 0.0).all()
+    return got
+
+
 def test_gamma_solve_meets_first_order_condition_near_frozen_reference():
     # both kernels stop at |phi| < 1e-10 with phi' >= rho >= 0.2, so each
-    # lies within 5e-10 of the root and within 1e-9 of the other
+    # lies within 5e-10 of the root and within 1e-9 of the other; the
+    # every-row Newton gives the compressed one's roots to the bit
     rng = np.random.default_rng(23)
     for n in (1, 7, 64, 333):
         m = rng.uniform(-2.0, 30.0, n)
@@ -952,14 +966,69 @@ def test_gamma_solve_meets_first_order_condition_near_frozen_reference():
             (m, float(lam[0]), rho, float(t0[0]), float(w[0])),  # broadcast scalars
             (float(m[-1]), lam[-1:], rho, t0[-1:], w[-1:]),  # scalar m
             (-np.abs(m), np.zeros(n), rho, t0, w),  # every row inactive, root 0
+            (np.abs(m), lam - 100.0, rho, t0, w),  # inactive at m > 0: still exactly 0
         ]
         for args in cases:
-            got = gamma_solve(*args)
+            got = assert_prox_matches_compressed_newton(*args)
             want = admm_reference.gamma_solve(*args)
             assert got.shape == want.shape
             deriv = prox_derivative(got, *args)
             assert ((np.abs(deriv) < 1e-8) | ((got == 0.0) & (deriv >= 0.0))).all()
             assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_gamma_solve_matches_compressed_newton_on_a_480_driver_run(monkeypatch):
+    # every prox call of the 480-driver relaxation (610 sweeps), captured
+    # at its inputs: most rows are active and the rest sit at phi(0) >= 0
+    calls = []
+
+    def capture(*args):
+        calls.append(copy.deepcopy(args))
+        return gamma_solve(*args)
+
+    monkeypatch.setattr("flowincentives.admm.gamma_solve", capture)
+    result = run_admm(synthetic_problem(nodes=160, drivers=480))
+    assert len(calls) == result.iterations == 610
+    inactive = 0
+    for m, lam, rho, t0, w in calls:
+        assert_prox_matches_compressed_newton(m, lam, rho, t0, w)
+        inactive += np.count_nonzero(prox_derivative(0.0, m, lam, rho, t0, w) >= 0.0)
+    assert 0 < inactive < sum(call[0].size for call in calls)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["per driver", "masked"])
+def test_duals_stay_in_sync_with_the_flat_vector(masked):
+    # a rebound dual writes into the flat vector the sweep moves, and a
+    # deep copy carries a flat vector of its own: the next sweep from
+    # either must equal one from a fresh state holding the same values
+    problem = readme_problem()
+    cfg = AdmmConfig(rho=1.3)
+    factor = build_u_factor(problem)
+    state = initial_state(problem, masked=masked)
+    for _ in range(3):
+        admm_iterate(state, problem, cfg, factor, (0, 1))
+    rng = np.random.default_rng(31)
+    state.lam4 = rng.normal(size=state.lam4.shape)
+    state.lam6 = float(rng.normal())
+    twin = copy.deepcopy(state)
+    fresh = initial_state(problem, masked=masked)
+    for name in STATE_ARRAYS:
+        setattr(fresh, name, copy.deepcopy(getattr(state, name)))
+    assert np.array_equal(fresh.duals, state.duals) and np.array_equal(twin.duals, state.duals)
+    before = copy.deepcopy(state)
+    for s in (state, twin, fresh):
+        admm_iterate(s, problem, cfg, factor, (1, 0))
+    for name in STATE_ARRAYS:
+        assert np.array_equal(getattr(twin, name), getattr(state, name)), name
+        assert np.array_equal(getattr(fresh, name), getattr(state, name)), name
+    assert np.array_equal(twin.residual_history[-1], state.residual_history[-1])
+    assert np.array_equal(fresh.residual_history[-1], state.residual_history[-1])
+    # each dual moves by rho times its residual, to the bit
+    residuals = list(residual_vectors(state, problem))
+    residuals[5] = float(residuals[5][0])  # lam6 reads as a float
+    for n, r in enumerate(residuals, start=1):
+        name = f"lam{n}"
+        assert np.array_equal(getattr(state, name), getattr(before, name) + cfg.rho * r), name
 
 
 def test_sweep_names_the_diverged_block_before_duals_move():

@@ -261,6 +261,27 @@ def test_run_experiment_never_deals_s(monkeypatch):
     assert np.array_equal(first, real_deal(outcome.counts, outcome.pipeline.demand))
 
 
+def test_oracle_hands_back_counts(monkeypatch):
+    # the oracle searches offer counts and returns them; S is dealt once,
+    # on first read
+    calls = []
+    real_deal = harness.deal_counts
+
+    def counting_deal(counts, demand):
+        calls.append(1)
+        return real_deal(counts, demand)
+
+    monkeypatch.setattr(harness, "deal_counts", counting_deal)
+    scenario = generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7)
+    pipe = prepare(scenario)
+    result = brute_force_oracle(scenario, budget=100.0, objective="bpr", pipe=pipe)
+    assert calls == []
+    first = result.assignment
+    assert result.assignment is first
+    assert calls == [1]
+    assert np.array_equal(first, real_deal(result.counts, pipe.demand))
+
+
 @pytest.mark.parametrize("penetration", [0.1, 1.0])
 def test_unknown_model_rejected_before_any_work(monkeypatch, penetration):
     # 0.1 leaves an empty cohort, 1.0 all six drivers: both fail before prepare
@@ -285,6 +306,10 @@ def test_admm_settings_rejected_before_any_work(monkeypatch, penetration):
     monkeypatch.setattr(harness, "prepare", no_prepare)
     with pytest.raises(InputError, match="rho must be positive"):
         run_experiment(scenario, "admm", 10.0, penetration=penetration, rho=0.0, lambda_reg=-1.0)
+    # a max_iters that is not an integer would fail in range() after prepare
+    for bad in (1e3, 5000.0, "5000", True):
+        with pytest.raises(InputError, match="max_iters must be an integer"):
+            run_experiment(scenario, "admm", 10.0, penetration=penetration, max_iters=bad)
 
 
 def test_penetration_shrinks_decision_set():

@@ -15,6 +15,7 @@ volume-delay curve link by link.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -124,9 +125,10 @@ def build_location_matrix(net, routes, horizon, unit_length_hours, entrance_time
     by the unit length. Occupancy past the horizon is dropped and the route
     is flagged as truncated.
 
-    The walk runs in exact decimal arithmetic (times are interpreted through
-    their decimal representation), so grid-aligned inputs produce exact
-    entries like 0.5 instead of accumulated float noise.
+    The walk runs in exact integer ticks of 1 / lcm of the denominators of
+    every t0 and of the unit, each read through its decimal representation,
+    so grid-aligned inputs produce exact entries like 0.5 instead of
+    accumulated float noise; an entry is ticks / ticks, correctly rounded.
     """
     if unit_length_hours <= 0:
         raise InputError("unit length must be positive")
@@ -137,6 +139,9 @@ def build_location_matrix(net, routes, horizon, unit_length_hours, entrance_time
     n_links = net.num_links
     t0 = [Fraction(str(lk.t0_hours)) for lk in net.links]
     unit = Fraction(str(float(unit_length_hours)))
+    ticks = math.lcm(unit.denominator, *(f.denominator for f in t0))
+    t0 = [int(f * ticks) for f in t0]
+    unit = int(unit * ticks)
     matrix = np.zeros((n_links * horizon, routes.num_routes))
     truncated = []
     end_of_horizon = horizon * unit
@@ -147,11 +152,10 @@ def build_location_matrix(net, routes, horizon, unit_length_hours, entrance_time
             occ_end = cursor + max(t0[link_id], unit)
             if occ_end > end_of_horizon:
                 truncated.append(j)
-            first = int(occ_start / unit)
-            for t in range(first, horizon):
+            # the units the window overlaps, each by a positive amount
+            for t in range(occ_start // unit, min(horizon, -(-occ_end // unit))):
                 overlap = min(occ_end, (t + 1) * unit) - max(occ_start, t * unit)
-                if overlap > 0:
-                    matrix[t * n_links + link_id, j] = float(overlap / unit)
+                matrix[t * n_links + link_id, j] = overlap / unit
             cursor += t0[link_id]
     return LocationMatrix(
         matrix=matrix,

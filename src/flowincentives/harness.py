@@ -17,6 +17,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +48,12 @@ from .scenario1 import Scenario1Config, build_scenario1, solve_scenario1
 ORACLE_LIMIT = 10_000_000
 
 
+def _check_seed(seed):
+    """numpy's generators take nonnegative seeds only."""
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+
+
 @dataclass
 class Scenario:
     """A complete experiment input; serializable to a single JSON file."""
@@ -70,6 +77,7 @@ class Scenario:
             raise InputError("horizon and unit length must be positive")
         if not 0 < self.penetration_rate <= 1:
             raise InputError("penetration rate must lie in (0, 1]")
+        _check_seed(self.seed)
         for od_index, entrance, count in self.demand:
             if not 0 <= od_index < len(self.od_pairs):
                 raise InputError(f"demand references unknown OD pair {od_index}")
@@ -230,6 +238,7 @@ def generate_synthetic(
         raise InputError("richness must be at least 1")
     if later_fraction > 0 and horizon < 2:
         raise InputError("later entrants need a horizon of at least 2")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     nodes_per_od = 2 + (richness - 1)
     n_od = max(1, nodes // nodes_per_od)
@@ -331,12 +340,14 @@ def select_cohort(driver_ids, penetration, seed):
 
     Because the permutation depends only on the seed, cohorts are nested
     across penetration rates: cohort(seed, p1) is a subset of
-    cohort(seed, p2) whenever p1 <= p2.
+    cohort(seed, p2) whenever p1 <= p2. The cohort size is the floor of
+    penetration * n taken exactly at the rate's decimal form (the shortest
+    one that reads back as the same float), so 0.29 of 100 drivers is 29.
     """
     if not 0 < penetration <= 1:
         raise InputError("penetration must lie in (0, 1]")
     ids = list(driver_ids)
-    take = int(np.floor(penetration * len(ids)))
+    take = math.floor(Fraction(repr(float(penetration))) * len(ids))
     perm = np.random.default_rng(seed).permutation(len(ids))
     return sorted(ids[i] for i in perm[:take])
 
@@ -365,6 +376,7 @@ def prepare(scenario, penetration=None, seed=None, max_routes=4):
     """Build routes, matrices, the eligible cohort and the background load."""
     pen = scenario.penetration_rate if penetration is None else penetration
     seed = scenario.seed if seed is None else seed
+    _check_seed(seed)
     net = scenario.net
     routes = enumerate_routes(net, scenario.od_pairs, max_routes)
     tt_hat = np.array([r.free_flow_time for r in routes.routes])

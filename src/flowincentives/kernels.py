@@ -50,9 +50,10 @@ def bpr_terms(v, t0, w):
     return v * t0 * (1.0 + 0.15 * (v / w) ** 4)
 
 
-def gamma_solve(m, lam, rho, t0, w):
+def gamma_solve(m, lam, rho, t0, w, quart=None):
     """Vectorized Newton for the volume prox, one root per entry of ``m``,
-    which is raveled; the other arguments broadcast against it."""
+    which is raveled; the other arguments broadcast against it. ``quart``
+    is q = 0.75 t0 / w^4, computed here when not given."""
     if type(m) is not np.ndarray or m.ndim != 1:
         m = np.asarray(m, dtype=float).ravel()
     # phi(0), clamped to 0: rows where it is nonnegative start at their root, 0, and stay
@@ -60,7 +61,8 @@ def gamma_solve(m, lam, rho, t0, w):
     g = np.maximum(m, 0.0)
     np.copyto(g, 0.0, where=c0 >= 0.0)
     np.minimum(c0, 0.0, out=c0)
-    quart = 0.75 * t0 / w**4
+    if quart is None:
+        quart = 0.75 * t0 / w**4
     for _ in range(200):
         # phi(g) = c0 + g (q g^3 + rho), phi'(g) = 4 q g^3 + rho
         q_cube = quart * (g * g * g)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from flowincentives.admm import (
+    OBJECTIVE_BLOCK,
+    OBJECTIVE_BLOCK_FLOATS,
     AdmmConfig,
     AdmmProblem,
     admm_iterate,
@@ -26,13 +28,14 @@ from flowincentives.admm import (
     s_update,
     u_update,
     w_update,
+    _volume,
 )
 import admm_reference
 from conftest import per_driver_incidence, scipy_milp_cases
 from flowincentives.errors import DivergenceError, InputError
 from flowincentives.flow import deal_counts
 from flowincentives.harness import generate_synthetic, prepare, realized_travel_time
-from flowincentives.kernels import gamma_solve
+from flowincentives.kernels import bpr_terms, gamma_solve
 from flowincentives.network import Link, RoadNetwork
 
 
@@ -718,6 +721,12 @@ STATE_ARRAYS = (
 )
 
 
+def frozen_prox(m, lam, rho, t0, w, quart=None):
+    """The frozen prox, called as the sweep calls the package's: the
+    problem's precomputed constant comes as ``quart`` and is ignored."""
+    return admm_reference.gamma_solve(m, lam, rho, t0, w)
+
+
 def jittered_state(problem, jitter=0.05, seed=3):
     """The uniform start with each driver's mass perturbed and renormalized,
     so no two columns of one OD pair carry equal mass."""
@@ -744,7 +753,7 @@ def test_sweep_is_bit_identical_to_frozen_reference(make_problem, rho, lambda_re
     # default). The package's prox is a different Newton with the same stop
     # rule (checked against the frozen one below), so the sweep runs with
     # the frozen prox and every other block is held to the bit
-    monkeypatch.setattr("flowincentives.admm.gamma_solve", admm_reference.gamma_solve)
+    monkeypatch.setattr("flowincentives.admm.gamma_solve", frozen_prox)
     problem = make_problem()
     cfg = AdmmConfig(rho=rho, lambda_reg=lambda_reg)
     factor = build_u_factor(problem)
@@ -785,7 +794,7 @@ def test_class_run_matches_per_driver_iteration(make_problem, lambda_reg, max_it
     # OD pair only; the frozen masked per-driver loop, one unit-weight
     # driver per problem.columns entry, with the same block orders and the
     # same prox, must tell the same story
-    monkeypatch.setattr("flowincentives.admm.gamma_solve", admm_reference.gamma_solve)
+    monkeypatch.setattr("flowincentives.admm.gamma_solve", frozen_prox)
     problem = make_problem()
     cfg = AdmmConfig(rho=1.0, lambda_reg=lambda_reg, max_iters=max_iters, seed=6)
     result = run_admm(problem, cfg)
@@ -982,7 +991,7 @@ def test_gamma_solve_matches_compressed_newton_on_a_480_driver_run(monkeypatch):
     # at its inputs: most rows are active and the rest sit at phi(0) >= 0
     calls = []
 
-    def capture(*args):
+    def capture(*args, quart=None):
         calls.append(copy.deepcopy(args))
         return gamma_solve(*args)
 
@@ -994,6 +1003,79 @@ def test_gamma_solve_matches_compressed_newton_on_a_480_driver_run(monkeypatch):
         assert_prox_matches_compressed_newton(m, lam, rho, t0, w)
         inactive += np.count_nonzero(prox_derivative(0.0, m, lam, rho, t0, w) >= 0.0)
     assert 0 < inactive < sum(call[0].size for call in calls)
+
+
+def test_prox_constant_is_computed_once_per_problem():
+    # the sweep hands the prox the problem's 0.75 t0 / w^4; the roots must
+    # be those of the 5-argument call, which computes it itself
+    problem = synthetic_problem(nodes=40, drivers=100)
+    assert np.array_equal(problem.prox_quart, 0.75 * problem.t0_row / problem.w_row**4)
+    rng = np.random.default_rng(5)
+    rows = problem.t0_row.size
+    m, lam = rng.uniform(-1.0, 20.0, rows), rng.normal(0.0, 2.0, rows)
+    args = (m, lam, 1.3, problem.t0_row, problem.w_row)
+    assert np.array_equal(gamma_solve(*args, quart=problem.prox_quart), gamma_solve(*args))
+    assert np.array_equal(gamma_subproblem(*args, quart=problem.prox_quart), gamma_subproblem(*args))
+
+
+@pytest.mark.parametrize("make_problem", [readme_problem, lambda: synthetic_problem(nodes=160, drivers=480)])
+def test_objectives_evaluated_in_blocks_equal_one_sweep_at_a_time(make_problem):
+    # each sweep's A u + bg waits on the state, and up to OBJECTIVE_BLOCK of
+    # them (fewer when they would pass OBJECTIVE_BLOCK_FLOATS) are scored as
+    # one block: after that many sweeps, or when the history is read. Each
+    # objective must be the 1-D sum of its sweep's BPR terms, to the bit
+    problem = make_problem()
+    cfg = AdmmConfig()
+    factor = build_u_factor(problem)
+    state = initial_state(problem, masked=True)
+    rows = problem.t0_row.size
+    assert state.objective_block == min(OBJECTIVE_BLOCK, OBJECTIVE_BLOCK_FLOATS // rows)
+    expected, pending = [], 0
+    for sweep in range(150):
+        admm_iterate(state, problem, cfg, factor, (sweep % 2, 1 - sweep % 2))
+        volume = np.maximum(_volume(state.u, problem, state.classes), 0.0)
+        expected.append(float(bpr_terms(volume, problem.t0_row, problem.w_row).sum()))
+        pending = (pending + 1) % state.objective_block
+        if sweep == 100:
+            assert len(state.objective_history) == 101
+            pending = 0
+        assert len(state.pending_volumes) == pending
+    assert state.objective_history == expected
+    assert not state.pending_volumes
+
+
+def test_masked_norms_from_one_reduction_match_per_part_norms():
+    # the masked sweep takes its seven norms as one reduceat over the
+    # squared scaled residuals; each must be the part's Euclidean norm
+    problem = synthetic_problem(nodes=160, drivers=480)
+    factor = build_u_factor(problem)
+    state = initial_state(problem, masked=True)
+    for sweep in range(40):
+        admm_iterate(state, problem, AdmmConfig(), factor, (sweep % 2, 1 - sweep % 2))
+        scaled = np.concatenate([r.ravel() for r in residual_vectors(state, problem)])
+        scaled *= state.residual_scale
+        want = [np.linalg.norm(scaled[at]) for at in state.dual_slices]
+        assert np.allclose(state.residual_history[-1], want, rtol=1e-15, atol=0.0)
+
+
+def test_masked_norms_with_no_volume_rows():
+    # with no volume rows the volume residual is empty, which one reduceat
+    # would misread; the state falls back to a norm per part
+    problem = AdmmProblem(
+        a_matrix=np.zeros((0, 3)),
+        d_matrix=np.ones((1, 3)),
+        costs=np.array([0.0, 1.0, 2.0]),
+        q=np.array([4.0]),
+        budget=3.0,
+        t0_row=np.zeros(0),
+        w_row=np.zeros(0),
+        columns=[np.arange(3)] * 4,
+    )
+    assert initial_state(problem, masked=True).norm_starts is None
+    result = run_admm(problem)
+    assert result.converged
+    assert (result.residuals[:, 3] == 0.0).all()
+    assert (result.objectives == 0.0).all()
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["per driver", "masked"])

@@ -229,6 +229,33 @@ def test_nan_tolerance_exit_code(tmp_path, capsys):
     assert not (tmp_path / "x" / "report.json").exists()
 
 
+@pytest.mark.parametrize("where", ["solve --seed", "sweep --seed", "oracle --seed", "generate --seed", "scenario"])
+def test_negative_seed_exit_code(tmp_path, capsys, where):
+    # numpy's generators reject negative seeds; the CLI must say so in one
+    # error line before any work, not end in a traceback
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--nodes", "4", "--drivers", "4", "--seed", "1", "--out", str(scenario)])
+    if where == "scenario":
+        obj = json.loads(scenario.read_text())
+        obj["seed"] = -1
+        scenario.write_text(json.dumps(obj))
+    out_dir = tmp_path / "x"
+    argv = {
+        "solve --seed": ["solve", str(scenario), "--model", "admm", "--seed", "-1", "--out-dir", str(out_dir)],
+        "sweep --seed": ["sweep", str(scenario), "--model", "linear", "--budgets", "0", "--seed", "-2",
+                         "--out-dir", str(out_dir)],
+        "oracle --seed": ["oracle", str(scenario), "--budget", "1", "--seed", "-1"],
+        "generate --seed": ["generate", "--nodes", "4", "--drivers", "4", "--seed", "-3",
+                            "--out", str(tmp_path / "other.json")],
+        "scenario": ["solve", str(scenario), "--model", "linear", "--out-dir", str(out_dir)],
+    }[where]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
+    assert not out_dir.exists() and not (tmp_path / "other.json").exists()
+
+
 def test_generate_later_entrants_need_two_intervals(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     code = main(["generate", "--nodes", "8", "--drivers", "24", "--later-fraction", "0.5",

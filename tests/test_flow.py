@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from flowincentives.flow import (
     total_travel_time,
     value_of_saved_time,
 )
+from flowincentives.harness import generate_synthetic
 from flowincentives.network import Link, RoadNetwork, enumerate_routes
 
 # Golden location matrix for the three-link example, 9 rows (time, link) by
@@ -105,6 +108,41 @@ def test_location_matrix_truncation_flag(appendix_c, appendix_c_pipe):
         appendix_c.net, appendix_c_pipe.routes, appendix_c.horizon, 0.2, entrance_time=3
     )
     assert loc.truncated_routes == (0, 1)
+
+
+def fraction_walk(net, routes, horizon, unit_length_hours, entrance_time):
+    """R by the plain walk in exact Fractions, unit by unit over the horizon."""
+    t0 = [Fraction(str(lk.t0_hours)) for lk in net.links]
+    unit = Fraction(str(float(unit_length_hours)))
+    matrix = np.zeros((net.num_links * horizon, routes.num_routes))
+    truncated = set()
+    for j, route in enumerate(routes.routes):
+        cursor = (entrance_time - 1) * unit
+        for link_id in route.links:
+            end = cursor + max(t0[link_id], unit)
+            if end > horizon * unit:
+                truncated.add(j)
+            for t in range(horizon):
+                overlap = min(end, (t + 1) * unit) - max(cursor, t * unit)
+                if overlap > 0:
+                    matrix[t * net.num_links + link_id, j] = float(overlap / unit)
+            cursor += t0[link_id]
+    return matrix, tuple(sorted(truncated))
+
+
+def test_location_matrix_integer_ticks_match_fraction_walk(appendix_c):
+    # the walk in integer ticks must give the exact-Fraction walk's R to the
+    # bit, at units off the decimal grid too (1/3 h), from every entrance
+    scenarios = [appendix_c, generate_synthetic(nodes=12, richness=3, tightness=1.3, drivers=12, seed=5)]
+    for scenario in scenarios:
+        routes = enumerate_routes(scenario.net, scenario.od_pairs)
+        for horizon in (1, 2, 5):
+            for unit in (0.2, 1 / 3, 0.15, 0.7):
+                for entrance in range(1, horizon + 1):
+                    loc = build_location_matrix(scenario.net, routes, horizon, unit, entrance)
+                    matrix, truncated = fraction_walk(scenario.net, routes, horizon, unit, entrance)
+                    assert np.array_equal(loc.matrix, matrix)
+                    assert loc.truncated_routes == truncated
 
 
 def test_location_matrix_validation(appendix_c, appendix_c_pipe):

@@ -89,6 +89,13 @@ def test_select_cohort_full_and_half():
     half = select_cohort(range(10), 0.5, 0)
     assert len(half) == 5
     assert half == select_cohort(range(10), 0.5, 0)
+    # the floor is taken at the decimal rate: 0.29 * 100 is 28.999... in
+    # binary floating point, but the cohort holds 29 drivers
+    for rate, n, size in ((0.29, 100, 29), (0.57, 100, 57), (0.58, 100, 58), (0.58, 50, 29)):
+        assert len(select_cohort(range(n), rate, 0)) == size
+    rates = (0.28, 0.29, 0.3, 0.57, 0.58)
+    cohorts = [set(select_cohort(range(100), rate, 0)) for rate in rates]
+    assert all(small <= large for small, large in zip(cohorts, cohorts[1:]))
 
 
 def test_select_cohort_nested_prefixes():

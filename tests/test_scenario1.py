@@ -120,6 +120,21 @@ def test_exact_search_keeps_the_objective_with_fewer_nodes():
     assert extra["mip_nodes"] < 3_000
 
 
+@pytest.mark.parametrize("nodes, drivers, most", [(40, 100, 35), (160, 480, 59)])
+def test_linear_search_takes_no_more_nodes(nodes, drivers, most, monkeypatch):
+    # the README generator at budget 100 with the default settings: the
+    # search at the final alpha takes 35 and 59 nodes. A root LP that only
+    # reached another optimal vertex ran 14,836 nodes (233 s) at 480
+    # drivers, so the solve runs under a node limit of the count it takes
+    # now, and a longer search fails here at once
+    solve = harness.solve_scenario1
+    monkeypatch.setattr(harness, "solve_scenario1", lambda *args: solve(*args, node_limit=most))
+    scenario = generate_synthetic(nodes=nodes, richness=2, tightness=1.3, drivers=drivers, seed=7)
+    extra = run_experiment(scenario, "linear", 100.0).report.extra
+    assert extra["mip_status"] != "iteration-limit"
+    assert extra["mip_nodes"] <= most
+
+
 def test_rejects_columns_narrower_than_the_od_block(appendix_c):
     # the count-space model cannot restrict one driver of a pair
     pipe = prepare(appendix_c)

@@ -29,9 +29,6 @@ from .flow import (
     build_location_matrix,
     compose_a,
     deal_counts,
-    expected_volume,
-    scenario1_expected_volume,
-    total_travel_time,
     value_of_saved_time,
 )
 from .admm import (

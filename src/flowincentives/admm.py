@@ -182,8 +182,8 @@ class AdmmProblem:
             raise InputError("demand vector must have one entry per OD pair")
         if self.t0_row.shape != (rows,) or self.w_row.shape != (rows,):
             raise InputError("per-row link parameters must match the volume rows")
-        if self.budget < 0:
-            raise InputError("budget must be nonnegative")
+        if not (math.isfinite(self.budget) and self.budget >= 0):
+            raise InputError("budget must be nonnegative and finite")
         if self.background is None:
             self.background = np.zeros(rows)
         self.background = np.asarray(self.background, dtype=float)

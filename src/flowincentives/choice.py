@@ -18,6 +18,7 @@ column back to its offer (``column_offers``, ``ChoiceProbabilities.costs``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,8 @@ class IncentiveMenu:
             raise InputError("incentive menu must start with the $0 offer")
         if any(b <= a for a, b in zip(amounts, amounts[1:])):
             raise InputError("incentive amounts must be strictly increasing")
+        if not all(math.isfinite(a) for a in amounts):
+            raise InputError("incentive amounts must be finite")
         object.__setattr__(self, "amounts", amounts)
 
     def __len__(self):
@@ -58,10 +61,10 @@ class ChoiceCoefficients:
     theta_inc: float = 0.7
 
     def __post_init__(self):
-        if self.theta_tt >= 0:
-            raise InputError("theta_tt must be negative")
-        if self.theta_inc <= 0:
-            raise InputError("theta_inc must be positive")
+        if not (math.isfinite(self.theta_tt) and self.theta_tt < 0):
+            raise InputError("theta_tt must be negative and finite")
+        if not (math.isfinite(self.theta_inc) and self.theta_inc > 0):
+            raise InputError("theta_inc must be positive and finite")
 
 
 @dataclass(frozen=True)

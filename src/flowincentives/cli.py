@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .errors import InfeasibleModelError, InputError, OracleSizeError, SolverLimitError
+from .errors import DivergenceError, InfeasibleModelError, InputError, OracleSizeError, SolverLimitError
 from .harness import (
     ORACLE_LIMIT,
     appendix_c_scenario,
@@ -248,7 +248,7 @@ def main(argv=None):
         if exc.binding_rows:
             print(f"candidate binding (link, time) rows: {exc.binding_rows}", file=sys.stderr)
         return 2
-    except (InputError, OracleSizeError, SolverLimitError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OracleSizeError, SolverLimitError, DivergenceError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

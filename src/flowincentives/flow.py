@@ -1,4 +1,4 @@
-"""Flow propagation: link-presence matrices, expected volumes, and metrics.
+"""Flow propagation: link-presence matrices, demand and offer counts.
 
 The location matrix R maps a route choice to expected link presence over the
 horizon: row t * E + link holds the fraction of time unit t a driver on that
@@ -8,9 +8,10 @@ keep their true traversal time), matching the worked-example convention in
 which a 0.1 h link inside a 0.2 h unit contributes 0.5 to two consecutive
 units while the entry link fills its whole first unit.
 
-Composing R with the offer matrix P gives A = R @ P; expected link volumes
-for an assignment S are then A @ S @ 1, and total travel time applies the
-volume-delay curve link by link.
+Composing R with the offer matrix P gives A = R @ P, so offer counts u, one
+per (route, incentive) column, load the (time, link) rows with expected
+volume A @ u. ``deal_counts`` deals counts to a per-driver assignment S
+only when a caller asks for one.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .choice import column_offers
-from .errors import DomainError, InputError
-from .network import bpr_travel_time
+from .errors import InputError
 
 DEFAULT_VALUE_OF_TIME = 157.8  # dollars per hour
 
@@ -67,7 +68,7 @@ class DemandModel:
     def num_drivers(self):
         return len(self.driver_to_od)
 
-    @property
+    @cached_property
     def blocks(self):
         """Each OD pair's columns, ascending: its routes' offers."""
         return [np.nonzero(row > 0)[0] for row in self.d_matrix]
@@ -130,8 +131,8 @@ def build_location_matrix(net, routes, horizon, unit_length_hours, entrance_time
     so grid-aligned inputs produce exact entries like 0.5 instead of
     accumulated float noise; an entry is ticks / ticks, correctly rounded.
     """
-    if unit_length_hours <= 0:
-        raise InputError("unit length must be positive")
+    if not (math.isfinite(unit_length_hours) and unit_length_hours > 0):
+        raise InputError("unit length must be positive and finite")
     if horizon < 1:
         raise InputError("horizon must be at least one unit")
     if entrance_time < 1 or entrance_time > horizon:
@@ -178,53 +179,8 @@ def compose_a(location, probabilities):
     return r @ p
 
 
-def expected_volume(a_matrix, s_matrix):
-    """Expected vehicles per (time, link) row: A @ S @ 1."""
-    s = np.asarray(s_matrix, dtype=float)
-    if s.ndim == 1:
-        return a_matrix @ s
-    return a_matrix @ s.sum(axis=1)
-
-
-def scenario1_expected_volume(s_matrix, probabilities, location):
-    """Per-time expected volume vectors accumulated driver by driver.
-
-    Returns a list of length-E vectors, one per time unit. Computed by an
-    explicit sum over drivers and offer columns so it can cross-check the
-    matrix-product path in ``expected_volume``.
-    """
-    s = np.asarray(s_matrix, dtype=float)
-    if s.ndim == 1:
-        s = s[:, None]
-    n_links = location.num_links
-    route_mass = np.zeros(probabilities.num_routes)
-    for n in range(s.shape[1]):
-        for col in np.nonzero(s[:, n])[0]:
-            route_mass += s[col, n] * probabilities.matrix[:, col]
-    flat = location.matrix @ route_mass
-    return [flat[t * n_links : (t + 1) * n_links] for t in range(location.horizon)]
-
-
-def total_travel_time(vhat, net):
-    """Total vehicle-hours: sum over (time, link) of volume times BPR delay.
-
-    ``vhat`` must have E * horizon entries; link parameters are tiled per
-    time unit.
-    """
-    v = np.asarray(vhat, dtype=float)
-    if np.any(v < 0):
-        raise DomainError("volumes must be nonnegative")
-    n_links = net.num_links
-    if v.size % n_links != 0:
-        raise InputError("volume vector length must be a multiple of the link count")
-    reps = v.size // n_links
-    t0 = np.tile(net.free_flow_times, reps)
-    w = np.tile(net.capacity_vector, reps)
-    return float(np.sum(v * bpr_travel_time(t0, w, v)))
-
-
 def value_of_saved_time(baseline_tt, new_tt, vot=DEFAULT_VALUE_OF_TIME):
     """Dollar value of the travel-time change; negative when time got worse."""
-    if vot <= 0:
-        raise InputError("value of time must be positive")
+    if not (math.isfinite(vot) and vot > 0):
+        raise InputError("value of time must be positive and finite")
     return (baseline_tt - new_tt) * vot

@@ -31,8 +31,6 @@ from .flow import (
     build_location_matrix,
     compose_a,
     deal_counts,
-    expected_volume,
-    total_travel_time,
     value_of_saved_time,
     DEFAULT_VALUE_OF_TIME,
 )
@@ -73,8 +71,10 @@ class Scenario:
     name: str = ""
 
     def __post_init__(self):
-        if self.horizon < 1 or self.unit_length_hours <= 0:
-            raise InputError("horizon and unit length must be positive")
+        if self.horizon < 1 or not (math.isfinite(self.unit_length_hours) and self.unit_length_hours > 0):
+            raise InputError("horizon must be at least 1 and unit length positive and finite")
+        if not (math.isfinite(self.vot) and self.vot > 0):
+            raise InputError("value of time must be positive and finite")
         if not 0 < self.penetration_rate <= 1:
             raise InputError("penetration rate must lie in (0, 1]")
         _check_seed(self.seed)
@@ -89,6 +89,8 @@ class Scenario:
             bg = np.asarray(self.background_volume, dtype=float)
             if bg.shape != (self.net.num_links * self.horizon,):
                 raise InputError("background volume must have E * horizon entries")
+            if not np.all(np.isfinite(bg) & (bg >= 0)):
+                raise InputError("background volume must be finite and nonnegative")
             self.background_volume = bg
 
     @property
@@ -236,6 +238,11 @@ def generate_synthetic(
 
     if richness < 1:
         raise InputError("richness must be at least 1")
+    if not tightness > 0:
+        raise InputError("tightness must be positive")
+    # written so that NaN fails too
+    if not (0 <= multi_route_fraction <= 1 and 0 <= later_fraction <= 1):
+        raise InputError("multi-route and later-entrant fractions must lie in [0, 1]")
     if later_fraction > 0 and horizon < 2:
         raise InputError("later entrants need a horizon of at least 2")
     _check_seed(seed)
@@ -332,7 +339,7 @@ def congested_route_estimates(scenario, routes):
     volume = volume.reshape(scenario.horizon, net.num_links)
     link_time = bpr_travel_time(net.free_flow_times, net.capacity_vector, volume)
     mean_link_time = link_time.mean(axis=0)
-    return np.array([float(route.incidence @ mean_link_time) for route in routes.routes])
+    return np.array([mean_link_time[list(route.links)].sum() for route in routes.routes])
 
 
 def select_cohort(driver_ids, penetration, seed):
@@ -426,11 +433,11 @@ def zero_assignment(pipe):
     return deal_counts(pipe.demand.zero_counts(pipe.costs), pipe.demand)
 
 
-def realized_travel_time(pipe, s_mat):
-    """Total vehicle-hours at the ORIGINAL capacities for an assignment S
-    or its offer counts."""
-    v = expected_volume(pipe.a_matrix, s_mat) + pipe.background
-    return total_travel_time(v, pipe.scenario.net)
+def realized_travel_time(pipe, counts):
+    """Total vehicle-hours of offer counts at the ORIGINAL capacities: the
+    BPR delay of each (time, link) row's expected volume, times that volume."""
+    v = pipe.a_matrix @ counts + pipe.background
+    return float(np.sum(v * bpr_travel_time(pipe.t0_row, pipe.w_row, v)))
 
 
 @dataclass
@@ -598,18 +605,19 @@ def run_experiment(
     """End-to-end run: prepare, solve, evaluate realized travel time, report."""
     if model not in ("linear", "admm"):
         raise InputError(f"unknown model {model!r}; expected 'linear' or 'admm'")
-    if rel_gap < 0:
-        raise InputError("rel_gap must be nonnegative")
     started = time.perf_counter()
     run_seed = scenario.seed if seed is None else seed
-    # built before prepare, so bad settings fail even where an empty cohort
-    # would never run the model
+    # checked and built before prepare, so bad settings fail even where an
+    # empty cohort would never run the model
+    Scenario1Config(budget=budget, alpha=alpha, rel_gap=rel_gap)
+    vot = scenario.vot if vot is None else vot
+    if not (math.isfinite(vot) and vot > 0):
+        raise InputError("value of time must be positive and finite")
     cfg = None
     if model == "admm":
         cfg = AdmmConfig(
             rho=rho, lambda_reg=lambda_reg, max_iters=max_iters, residual_tol=tol, seed=run_seed
         )
-    vot = scenario.vot if vot is None else vot
     pen = scenario.penetration_rate if penetration is None else penetration
     pipe = prepare(scenario, penetration=pen, seed=run_seed)
     zero_counts = pipe.demand.zero_counts(pipe.costs)
@@ -715,6 +723,10 @@ def brute_force_oracle(
     """
     if objective not in ("bpr", "free_flow"):
         raise InputError(f"unknown objective {objective!r}; expected 'bpr' or 'free_flow'")
+    if not (math.isfinite(budget) and budget >= 0):
+        raise InputError("budget must be nonnegative and finite")
+    if not math.isfinite(limit):
+        raise InputError("limit must be finite")
     if pipe is None:
         pipe = prepare(scenario, penetration=penetration, seed=seed)
     q = pipe.demand.q

@@ -2,15 +2,15 @@
 
 A network is a directed graph whose links carry a free-flow travel time
 (hours), a practical capacity (vehicles per time unit) and a length (miles).
-Routes are simple link sequences encoded both as ordered link-id tuples and
-as one-hot incidence vectors over the dense link-id range, so matrix
-operations can index links directly.
+Routes are simple link sequences stored as ordered link-id tuples, which
+index the per-link parameter vectors directly.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,7 @@ class Link:
 class RoadNetwork:
     """Immutable directed road graph.
 
-    Link ids must be the dense range 0..E-1 so that one-hot route vectors and
+    Link ids must be the dense range 0..E-1 so that route link ids and
     per-link parameter arrays line up by position. Safe to share across
     threads once constructed.
     """
@@ -52,8 +52,8 @@ class RoadNetwork:
                 raise InputError(f"link {lk.id} references unknown node")
             if lk.tail == lk.head:
                 raise InputError(f"link {lk.id} is a self-loop")
-            if lk.t0_hours <= 0 or lk.capacity <= 0 or lk.length_miles <= 0:
-                raise InputError(f"link {lk.id} needs positive t0, capacity and length")
+            if not all(math.isfinite(x) and x > 0 for x in (lk.t0_hours, lk.capacity, lk.length_miles)):
+                raise InputError(f"link {lk.id} needs positive finite t0, capacity and length")
         ordered = tuple(sorted(self.links, key=lambda lk: lk.id))
         object.__setattr__(self, "links", ordered)
 
@@ -82,11 +82,10 @@ class RoadNetwork:
 
 @dataclass(frozen=True)
 class Route:
-    """A simple directed path, stored as link ids plus a one-hot incidence."""
+    """A simple directed path, stored as its link ids in travel order."""
 
     od: tuple
     links: tuple
-    incidence: np.ndarray = field(compare=False)
     free_flow_time: float
 
 
@@ -177,17 +176,11 @@ def shortest_path(net, origin, destination, mask=frozenset()):
             continue
         settled.add(node)
         if node == destination:
-            return _route_from_links(net, (origin, destination), path, cost)
+            return Route(od=(origin, destination), links=path, free_flow_time=cost)
         for lk in adjacency[node]:
             if lk.id not in mask and lk.head not in settled:
                 heapq.heappush(heap, (cost + lk.t0_hours, path + (lk.id,), lk.head))
     return None
-
-
-def _route_from_links(net, od, link_ids, cost):
-    incidence = np.zeros(net.num_links)
-    incidence[list(link_ids)] = 1.0
-    return Route(od=od, links=tuple(link_ids), incidence=incidence, free_flow_time=cost)
 
 
 def enumerate_routes(net, od_pairs, max_routes=4):

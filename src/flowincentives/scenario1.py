@@ -21,6 +21,7 @@ the rest of the pipeline see the full offer layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +43,11 @@ class Scenario1Config:
     rel_gap: float = 0.01
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise InputError("budget must be nonnegative")
         # alpha = 0 is degenerate but legal: it makes every loaded capacity
         # row infeasible, which the solver then reports
-        if self.alpha < 0:
-            raise InputError("alpha must be nonnegative")
-        if self.rel_gap < 0:
-            raise InputError("rel_gap must be nonnegative")
+        for name in ("budget", "alpha", "rel_gap"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise InputError(f"{name} must be nonnegative and finite")
 
 
 @dataclass

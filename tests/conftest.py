@@ -64,6 +64,25 @@ def total_travel_time_loop(vhat, net):
     return total
 
 
+def scenario1_expected_volume(s_matrix, probabilities, location):
+    """Per-time expected volume vectors accumulated driver by driver.
+
+    Returns a list of length-E vectors, one per time unit. Computed by an
+    explicit sum over drivers and offer columns so it can cross-check the
+    matrix product A @ S @ 1.
+    """
+    s = np.asarray(s_matrix, dtype=float)
+    if s.ndim == 1:
+        s = s[:, None]
+    n_links = location.num_links
+    route_mass = np.zeros(probabilities.num_routes)
+    for n in range(s.shape[1]):
+        for col in np.nonzero(s[:, n])[0]:
+            route_mass += s[col, n] * probabilities.matrix[:, col]
+    flat = location.matrix @ route_mass
+    return [flat[t * n_links : (t + 1) * n_links] for t in range(location.horizon)]
+
+
 def make_assignment(columns, n_cols, choices):
     """Binary assignment matrix from one chosen column per driver."""
     s = np.zeros((n_cols, len(choices)))

@@ -7,7 +7,7 @@ import pytest
 
 import flowincentives.cli as cli
 from flowincentives.cli import main
-from flowincentives.errors import SolverLimitError
+from flowincentives.errors import DivergenceError, SolverLimitError
 
 
 def test_generate_preset_and_solve(tmp_path, capsys):
@@ -277,3 +277,77 @@ def test_solver_limit_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: stopped at node_limit=0 before finding a feasible point"]
+
+
+def _links(obj):
+    return obj["network"]["links"]
+
+
+def _set_background(obj, first):
+    """A background volume of ``first`` on the first (time, link) row, 0 elsewhere."""
+    obj["background_volume"] = [first] + [0.0] * (len(_links(obj)) * obj["horizon"] - 1)
+
+
+# each case: how it breaks the scenario JSON, the command's flags, and a
+# word the error line names
+ADMM = ["--model", "admm"]
+NON_FINITE_CASES = {
+    "t0": (lambda obj: _links(obj)[0].update(t0_hours=float("nan")), ADMM, "t0"),
+    "capacity": (lambda obj: _links(obj)[1].update(capacity=float("nan")), ADMM, "capacity"),
+    "length": (lambda obj: _links(obj)[0].update(length_miles=float("inf")), ADMM, "length"),
+    "unit length": (lambda obj: obj.update(unit_length_hours=float("nan")), ADMM, "unit length"),
+    "theta": (lambda obj: obj["choice"].update(theta_tt=float("nan")), ADMM, "theta_tt"),
+    "amount": (lambda obj: obj["choice"]["incentive_amounts"].__setitem__(1, float("nan")), ADMM, "amounts"),
+    "vot": (lambda obj: obj.update(vot=float("nan")), ADMM, "value of time"),
+    "background nan": (lambda obj: _set_background(obj, float("nan")), ADMM, "finite and nonnegative"),
+    "background negative": (lambda obj: _set_background(obj, -1.0), ADMM, "finite and nonnegative"),
+    "--budget nan": (None, ADMM + ["--budget", "nan"], "budget"),
+    "--budget inf": (None, ADMM + ["--budget", "inf"], "budget"),
+    "--alpha nan": (None, ["--model", "linear", "--alpha", "nan"], "alpha"),
+    "--vot nan": (None, ADMM + ["--vot", "nan"], "value of time"),
+    "--rel-gap nan": (None, ["--model", "linear", "--rel-gap", "nan"], "rel_gap"),
+    "oracle --limit nan": (None, ["--limit", "nan"], "limit"),
+    "generate --tightness nan": (None, ["--tightness", "nan"], "tightness"),
+    "generate --later-fraction nan": (None, ["--later-fraction", "nan"], "fractions"),
+    "generate --multi-route-fraction nan": (None, ["--multi-route-fraction", "nan"], "fractions"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_input_exit_code(tmp_path, capsys, case):
+    # NaN slips past every comparison-based check and infinity past the
+    # sign checks; each must end in one error line before any work, not in
+    # a traceback, an exact search or a NaN report
+    breakage, flags, word = NON_FINITE_CASES[case]
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--nodes", "4", "--drivers", "4", "--seed", "1", "--out", str(scenario)])
+    if breakage is not None:
+        obj = json.loads(scenario.read_text())
+        breakage(obj)
+        scenario.write_text(json.dumps(obj))
+    out_dir = tmp_path / "x"
+    if case.startswith("oracle"):
+        argv = ["oracle", str(scenario), "--budget", "1", *flags]
+    elif case.startswith("generate"):
+        argv = ["generate", "--nodes", "4", "--drivers", "4", *flags, "--out", str(out_dir)]
+    else:
+        argv = ["solve", str(scenario), *flags, "--out-dir", str(out_dir)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and word in err[0], err
+    assert not out_dir.exists()
+
+
+def test_divergence_exit_code(tmp_path, capsys, monkeypatch):
+    def diverged(*args, **kwargs):
+        raise DivergenceError("w", 3)
+
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--preset", "appendix-c", "--out", str(scenario)])
+    monkeypatch.setattr(cli, "run_experiment", diverged)
+    capsys.readouterr()
+    code = main(["solve", str(scenario), "--model", "admm", "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite values in block 'w' at iteration 3")

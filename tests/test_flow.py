@@ -1,9 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
-
-from conftest import total_travel_time_loop
+from conftest import scenario1_expected_volume, total_travel_time_loop
+from flowincentives.choice import IncentiveMenu
 from flowincentives.errors import DomainError, InputError
 from flowincentives.flow import (
     DemandModel,
@@ -11,12 +12,9 @@ from flowincentives.flow import (
     build_location_matrix,
     compose_a,
     deal_counts,
-    expected_volume,
-    scenario1_expected_volume,
-    total_travel_time,
     value_of_saved_time,
 )
-from flowincentives.harness import generate_synthetic
+from flowincentives.harness import Scenario, generate_synthetic, prepare, realized_travel_time
 from flowincentives.network import Link, RoadNetwork, enumerate_routes
 
 # Golden location matrix for the three-link example, 9 rows (time, link) by
@@ -198,19 +196,15 @@ def test_expected_volume_deterministic_choice(appendix_c_pipe):
         matrix = np.eye(2)
 
     a = compose_a(appendix_c_pipe.location, Deterministic())
-    s = np.zeros((2, 2))
-    s[0, 0] = 1.0  # driver 0 -> route 0
-    s[1, 1] = 1.0  # driver 1 -> route 1
-    v = expected_volume(a, s)
-    assert np.allclose(v, r[:, 0] + r[:, 1])
+    counts = np.array([1.0, 1.0])  # one driver on each route
+    assert np.allclose(a @ counts, r[:, 0] + r[:, 1])
 
 
 def test_expected_volume_empty_and_baseline(appendix_c_pipe):
     a = appendix_c_pipe.a_matrix
-    assert not expected_volume(a, np.zeros((a.shape[1], 0))).any()
-    s = np.zeros((a.shape[1], 2))
-    s[0, :] = 1.0  # both drivers on the $0 column
-    v = expected_volume(a, s)
+    assert not (a @ np.zeros(a.shape[1])).any()
+    # both drivers on the $0 column
+    v = a @ appendix_c_pipe.demand.zero_counts(appendix_c_pipe.costs)
     assert np.allclose(v, 2.0 * a[:, 0])
 
 
@@ -221,36 +215,49 @@ def test_scenario1_volume_matches_matrix_product(appendix_c_pipe):
     slices = scenario1_expected_volume(
         s, appendix_c_pipe.probabilities, appendix_c_pipe.location
     )
-    full = expected_volume(appendix_c_pipe.a_matrix, s)
+    full = appendix_c_pipe.a_matrix @ s.sum(axis=1)
     n_links = appendix_c_pipe.location.num_links
     for t, block in enumerate(slices):
         assert np.allclose(block, full[t * n_links : (t + 1) * n_links], atol=1e-12)
 
 
-def test_total_travel_time_values(appendix_c):
+def test_total_travel_time_values():
+    # one 0.1 h link of capacity 10 filling a 0.1 h unit, so A = [[1]]
     net = RoadNetwork(nodes=("a", "b"), links=(Link(0, "a", "b", 0.1, 10.0, 5.0),))
-    assert total_travel_time(np.zeros(1), net) == 0.0
-    assert total_travel_time(np.array([10.0]), net) == pytest.approx(1.15)
+    scenario = Scenario(
+        net=net,
+        od_pairs=[("a", "b")],
+        demand=[(0, 1, 10)],
+        horizon=1,
+        unit_length_hours=0.1,
+        menu=IncentiveMenu((0.0,)),
+    )
+    pipe = prepare(scenario)
+    assert realized_travel_time(pipe, np.zeros(1)) == 0.0
+    # ten vehicles at capacity, each taking 1.15 * t0
+    assert realized_travel_time(pipe, np.array([10.0])) == pytest.approx(1.15)
     with pytest.raises(DomainError):
-        total_travel_time(np.array([-1.0]), net)
+        realized_travel_time(dataclasses.replace(pipe, background=np.array([-11.0])), np.array([10.0]))
 
 
-def test_total_travel_time_matches_loop(appendix_c):
+def test_total_travel_time_matches_loop(appendix_c_pipe):
     rng = np.random.default_rng(3)
-    v = rng.uniform(0.0, 250.0, size=9)
-    assert total_travel_time(v, appendix_c.net) == pytest.approx(
-        total_travel_time_loop(v, appendix_c.net), rel=1e-12
+    counts = rng.uniform(0.0, 250.0, size=appendix_c_pipe.a_matrix.shape[1])
+    v = appendix_c_pipe.a_matrix @ counts + appendix_c_pipe.background
+    assert realized_travel_time(appendix_c_pipe, counts) == pytest.approx(
+        total_travel_time_loop(v, appendix_c_pipe.scenario.net), rel=1e-12
     )
 
 
-def test_total_travel_time_convex(appendix_c):
+def test_total_travel_time_convex(appendix_c_pipe):
     rng = np.random.default_rng(5)
+    n_cols = appendix_c_pipe.a_matrix.shape[1]
     for _ in range(20):
-        v = rng.uniform(0.0, 150.0, size=9)
-        d = rng.uniform(0.0, 1.0, size=9)
+        u = rng.uniform(0.0, 150.0, size=n_cols)
+        d = rng.uniform(0.0, 1.0, size=n_cols)
         h = 1e-3
-        f = lambda x: total_travel_time(x, appendix_c.net)
-        second = f(v + 2 * h * d) - 2 * f(v + h * d) + f(v)
+        f = lambda x: realized_travel_time(appendix_c_pipe, x)
+        second = f(u + 2 * h * d) - 2 * f(u + h * d) + f(u)
         assert second >= -1e-10
 
 
@@ -273,8 +280,9 @@ def test_conservation_and_linearity(appendix_c_pipe):
         assert route_mass.sum() == pytest.approx(n_drivers, abs=1e-9)
         s2 = rng.dirichlet(np.ones(n_cols), size=n_drivers).T
         lam = 0.3
-        mix = expected_volume(a, lam * s + (1 - lam) * s2)
-        split = lam * expected_volume(a, s) + (1 - lam) * expected_volume(a, s2)
+        u, u2 = s.sum(axis=1), s2.sum(axis=1)
+        mix = a @ (lam * u + (1 - lam) * u2)
+        split = lam * (a @ u) + (1 - lam) * (a @ u2)
         assert np.allclose(mix, split, atol=1e-12)
 
 

@@ -8,10 +8,11 @@ from conftest import make_assignment
 
 from flowincentives import harness
 from flowincentives.admm import round_counts
-from flowincentives.choice import build_choice_matrix, offer_column
+from flowincentives.choice import IncentiveMenu, build_choice_matrix, offer_column
 from flowincentives.errors import InputError, OracleSizeError
 from flowincentives.flow import build_location_matrix
 from flowincentives.harness import (
+    Scenario,
     appendix_c_scenario,
     brute_force_oracle,
     congested_route_estimates,
@@ -30,7 +31,7 @@ from flowincentives.harness import (
     write_reports_csv,
     zero_assignment,
 )
-from flowincentives.network import bpr_travel_time
+from flowincentives.network import Link, RoadNetwork, bpr_travel_time, enumerate_routes
 
 
 def test_generate_deterministic(tmp_path):
@@ -194,7 +195,8 @@ def _per_entry_congested_estimates(scenario, routes):
     t0_row = np.tile(net.free_flow_times, scenario.horizon)
     w_row = np.tile(net.capacity_vector, scenario.horizon)
     link_time = bpr_travel_time(t0_row, w_row, volume).reshape(scenario.horizon, net.num_links)
-    return np.array([route.incidence @ link_time.mean(axis=0) for route in routes.routes])
+    mean_link_time = link_time.mean(axis=0)
+    return np.array([sum(mean_link_time[link] for link in route.links) for route in routes.routes])
 
 
 @pytest.mark.parametrize(
@@ -235,6 +237,36 @@ def test_background_matches_per_driver_sum(penetration, later, extra_volume, con
     for n, od_index in enumerate(pipe.demand.driver_to_od):
         expected[offer_column(scenario.menu, pipe.routes.route_of_od[od_index][0], 0), n] = 1.0
     assert np.array_equal(zero_assignment(pipe), expected)
+
+
+def test_congested_estimates_on_a_three_link_route():
+    # the generator's routes have at most two links; the first route here
+    # has three, so its estimate sums more than two link times
+    net = RoadNetwork(
+        nodes=("a", "b", "c", "d"),
+        links=(
+            Link(0, "a", "b", 0.05, 3.0, 2.5),
+            Link(1, "b", "c", 0.07, 2.0, 3.5),
+            Link(2, "c", "d", 0.03, 4.0, 1.5),
+            Link(3, "a", "d", 0.2, 5.0, 10.0),
+        ),
+    )
+    scenario = Scenario(
+        net=net,
+        od_pairs=[("a", "d")],
+        demand=[(0, 1, 8), (0, 2, 4)],
+        horizon=3,
+        unit_length_hours=0.1,
+        menu=IncentiveMenu((0.0, 2.0)),
+        congested_estimates=True,
+    )
+    routes = enumerate_routes(net, scenario.od_pairs)
+    assert [route.links for route in routes.routes] == [(0, 1, 2), (3,)]
+    estimates = congested_route_estimates(scenario, routes)
+    np.testing.assert_allclose(estimates, _per_entry_congested_estimates(scenario, routes), rtol=1e-12)
+    assert np.all(estimates > [route.free_flow_time for route in routes.routes])
+    offers = build_choice_matrix(routes, scenario.menu, estimates, scenario.coeffs)
+    assert np.array_equal(prepare(scenario).probabilities.matrix, offers.matrix)
 
 
 def test_zero_eligible_drivers_fall_back_to_baseline():
@@ -339,9 +371,9 @@ def test_oracle_single_driver_two_offers():
     pipe = prepare(one)
     values = []
     for col in pipe.columns[0]:
-        s = np.zeros((pipe.a_matrix.shape[1], 1))
-        s[col, 0] = 1.0
-        values.append(realized_travel_time(pipe, s))
+        counts = np.zeros(pipe.a_matrix.shape[1])
+        counts[col] = 1.0
+        values.append(realized_travel_time(pipe, counts))
     assert result.objective == pytest.approx(min(values), abs=1e-12)
 
 
@@ -361,7 +393,7 @@ def _per_driver_reference(pipe, budget, objective, alpha):
         if alpha is not None and np.any(pipe.a_matrix @ u + pipe.background > alpha * pipe.w_row + 1e-9):
             continue
         count += 1
-        obj = pipe.free_flow_cost @ u if objective == "free_flow" else realized_travel_time(pipe, s)
+        obj = pipe.free_flow_cost @ u if objective == "free_flow" else realized_travel_time(pipe, u)
         if obj < best_obj - 1e-15:
             best, best_obj = s, obj
     return best, best_obj, count

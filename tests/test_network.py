@@ -90,7 +90,7 @@ def test_enumerate_routes_infeasible_pair(appendix_c):
 def test_route_free_flow_time_matches_incidence(appendix_c_pipe):
     t0 = appendix_c_pipe.scenario.net.free_flow_times
     for route in appendix_c_pipe.routes.routes:
-        assert route.free_flow_time == pytest.approx(float(route.incidence @ t0))
+        assert route.free_flow_time == pytest.approx(t0[list(route.links)].sum())
 
 
 def test_bpr_values():

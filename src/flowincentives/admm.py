@@ -62,10 +62,9 @@ part starts. The sweep's trace is evaluated in bulk: masked, the seven
 residual norms are one ``np.add.reduceat`` of the squared scaled residuals
 and one square root (per driver, each part's sqrt(x . x), as the frozen
 reference has them), and each sweep's A u + bg waits on the state until
-``OBJECTIVE_BLOCK`` sweeps have gathered, ``run_admm`` ends or
-``objective_history`` is read, when their BPR objectives are evaluated as
-one block (of fewer sweeps when the rows are many, to keep it within
-``OBJECTIVE_BLOCK_FLOATS``). A row sum of that C-contiguous block adds its
+the pending volumes would pass ``OBJECTIVE_BLOCK_FLOATS``, ``run_admm``
+ends or ``objective_history`` is read, when their BPR objectives are
+evaluated as one block. A row sum of that C-contiguous block adds its
 entries in the order a 1-D sum of the row would, so each objective is the
 same float.
 
@@ -97,12 +96,10 @@ RESIDUAL_LABELS = (
     "w_consensus",  # ||W - S||
 )
 
-# most sweeps, and most floats, whose volumes wait on the state before their
-# BPR objectives are evaluated as one block. On a 2-CPU Xeon VM a 64-sweep
-# block took 2.5-4x the time of scoring one sweep at a time at 4,800 rows,
-# while a 128 KB block was faster than that from 318 to 1,596 rows and
-# about as fast at 4,800
-OBJECTIVE_BLOCK = 64
+# most floats of the pending volumes whose BPR objectives are evaluated as
+# one block. On a 2-CPU Xeon VM a 64-sweep block took 2.5-4x the time of
+# scoring one sweep at a time at 4,800 rows, while a 128 KB block was faster
+# than that from 318 to 1,596 rows and about as fast at 4,800
 OBJECTIVE_BLOCK_FLOATS = 1 << 14
 
 
@@ -232,7 +229,7 @@ class AdmmState:
     driver, or when a part is empty). ``objective_history`` evaluates the
     volumes ``pending_volumes`` holds with ``bpr_rows`` (t0_row, w_row)
     before it is read; a sweep that leaves ``objective_block`` of them
-    pending evaluates them.
+    pending, as many as fit in ``OBJECTIVE_BLOCK_FLOATS``, evaluates them.
     """
 
     u: np.ndarray
@@ -244,13 +241,13 @@ class AdmmState:
     duals: np.ndarray
     dual_slices: tuple
     weights: np.ndarray  # drivers each S entry stands for, broadcast against S
+    objective_block: int  # most volumes pending at once
     classes: np.ndarray = None  # masked layout: the OD pair of each column
     pair_divisor: np.ndarray = None  # masked layout: n_k + 1 per OD pair, for the W step
     s_divisor: np.ndarray = None  # masked layout: weights + 2, for the S step
     residual_scale: np.ndarray = None  # what a residual vector is scaled by before its norms
     norm_starts: np.ndarray = None  # masked layout: where each residual part starts
     bpr_rows: tuple = None  # (t0_row, w_row), which the pending volumes are scored with
-    objective_block: int = OBJECTIVE_BLOCK  # most volumes pending at once
     iteration: int = 0
     residual_history: list = field(default_factory=list)
     evaluated_objectives: list = field(default_factory=list, repr=False)
@@ -372,7 +369,7 @@ def initial_state(problem, masked=False):
         residual_scale=np.concatenate(scale),
         norm_starts=np.subtract(ends, sizes) if masked and min(sizes) > 0 else None,
         bpr_rows=(problem.t0_row, problem.w_row),
-        objective_block=min(OBJECTIVE_BLOCK, max(1, OBJECTIVE_BLOCK_FLOATS // max(1, rows))),
+        objective_block=max(1, OBJECTIVE_BLOCK_FLOATS // max(1, rows)),
     )
 
 
@@ -546,15 +543,13 @@ def w_update(s_mat, lam2, lam7, rho, classes=None, divisor=None):
     g = 1 + S - (lam7 + lam2) / rho, less its column sums over m + 1.
 
     Masked (``classes`` given), lam2 has one entry per OD pair and g is
-    less its sum over the column's block over n_k + 1 instead; ``divisor``
-    holds n_k + 1 per pair and is counted here when not given.
+    less its sum over the column's block over n_k + 1 instead, which
+    ``divisor`` holds per pair (``AdmmState.pair_divisor``).
     """
     if classes is None:
         g = 1.0 + s_mat - (lam7 + lam2[None, :]) / rho
         return g - g.sum(axis=0, keepdims=True) / (s_mat.shape[0] + 1.0)
     g = 1.0 + s_mat - (lam7 + lam2[classes]) / rho
-    if divisor is None:
-        divisor = np.bincount(classes, minlength=lam2.size) + 1.0
     return g - (np.bincount(classes, g, lam2.size) / divisor)[classes]
 
 
@@ -570,14 +565,12 @@ def s_update(u, h_mat, w_mat, lam1, lam5, lam7, rho, weights=None, divisor=None)
     Columns decouple given one shared weighted row sum: with
     g = u + (lam5 + lam7 - lam1) / rho + H + W, S is g less its w-weighted
     row sums over sum(w) + 2, halved. Masked (vector S), each row holds one
-    entry and S = g / (w + 2); ``divisor`` holds w + 2 and is computed here
-    when not given. ``weights`` defaults to one per entry.
+    entry and S = g / (w + 2), with w + 2 given as ``divisor``
+    (``AdmmState.s_divisor``). ``weights`` defaults to one per entry.
     """
     if weights is None:
         weights = np.ones(h_mat.shape[-1])
     if h_mat.ndim == 1:
-        if divisor is None:
-            divisor = weights + 2.0
         return (u + (lam5 + lam7 - lam1) / rho + h_mat + w_mat) / divisor
     g = u[:, None] + (lam5 + lam7 - lam1[:, None]) / rho + h_mat + w_mat
     return (g - (g * weights).sum(axis=1, keepdims=True) / (weights.sum() + 2.0)) / 2.0
@@ -649,17 +642,16 @@ def _check_finite(state, iteration):
             raise DivergenceError(block, iteration)
 
 
-def admm_iterate(state, problem, cfg, u_factor=None, order=(0, 1)):
+def admm_iterate(state, problem, cfg, u_factor, order=(0, 1)):
     """One full sweep: both primal blocks in the given order, then all duals.
 
-    Block 0 updates {u, W, H}; block 1 updates {S, gamma, beta}. Every
-    update reads the most recent values of the other variables. Appends the
+    Block 0 updates {u, W, H}, the u step applying ``u_factor`` (from
+    ``build_u_factor``); block 1 updates {S, gamma, beta}. Every update
+    reads the most recent values of the other variables. Appends the
     seven residual norms, S-sized ones weighted per driver, to the state's
     history, and A u + bg to the volumes whose relaxed objectives
     ``objective_history`` evaluates in blocks.
     """
-    if u_factor is None:
-        u_factor = build_u_factor(problem)
     rho = cfg.rho
     p = problem
     (lam1, lam2, _, lam4, lam5, lam6, lam7), residual, parts, scaled, scaled_parts = state.parts()

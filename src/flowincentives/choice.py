@@ -80,9 +80,6 @@ class ChoiceProbabilities:
     num_routes: int
     menu: IncentiveMenu
 
-    def column(self, route_index, incentive_index):
-        return self.matrix[:, offer_column(self.menu, route_index, incentive_index)]
-
     @property
     def costs(self):
         """Each column's offered amount, which is also what offering it costs."""

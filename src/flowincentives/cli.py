@@ -7,8 +7,9 @@ residuals.csv), ``sweep`` (budget x penetration grid into one report.csv),
 report.json as a table / CSV).
 
 Exit codes: 0 success, 2 infeasible model, 1 any other error. A splitting
-solver run that stops at ``--max-iters`` unconverged still exits 0, after
-one ``warning:`` line on stderr.
+solver run that stops at ``--max-iters`` unconverged, or a linear run whose
+search stops at its node limit with an assignment in hand, still exits 0,
+after one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -69,16 +70,22 @@ def _solver_kwargs(args):
 
 
 def _warn_unconverged(report):
-    """One stderr line when the splitting-solver run hit max_iters."""
+    """One stderr line when the splitting-solver run hit max_iters or the
+    linear run's search hit its node limit."""
     extra = report.extra
-    if extra.get("converged", True):
-        return
-    print(
-        f"warning: admm run at budget {report.budget:g}, penetration {report.penetration_rate:g} "
-        f"did not converge in {extra['iterations']} iterations "
-        f"(largest final residual {max(extra['final_residuals']):.3g})",
-        file=sys.stderr,
-    )
+    where = f"at budget {report.budget:g}, penetration {report.penetration_rate:g}"
+    if not extra.get("converged", True):
+        print(
+            f"warning: admm run {where} did not converge in {extra['iterations']} iterations "
+            f"(largest final residual {max(extra['final_residuals']):.3g})",
+            file=sys.stderr,
+        )
+    if extra.get("mip_status") == "iteration-limit":
+        print(
+            f"warning: linear run {where} stopped at its node limit "
+            f"(status {extra['mip_status']}, gap {extra['mip_gap']:.3g})",
+            file=sys.stderr,
+        )
 
 
 def cmd_generate(args):

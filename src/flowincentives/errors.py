@@ -23,10 +23,14 @@ class InfeasibleModelError(RuntimeError):
     ``binding_rows`` lists (link id, time index) capacity rows that are
     violated even by the all-zero-incentive assignment, which is the usual
     culprit; retrying with a larger capacity multiplier often helps.
+    ``nodes`` and ``pivots`` count the branch-and-bound search that proved
+    infeasibility, when one ran.
     """
 
-    def __init__(self, message, binding_rows=()):
+    def __init__(self, message, binding_rows=(), nodes=0, pivots=0):
         self.binding_rows = list(binding_rows)
+        self.nodes = nodes
+        self.pivots = pivots
         super().__init__(message)
 
 

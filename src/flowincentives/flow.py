@@ -34,15 +34,14 @@ class LocationMatrix:
     """Per-(time, link) presence fractions for each route.
 
     ``matrix`` has E * horizon rows (row = t * E + link) and one column per
-    route. ``truncated_routes`` flags routes whose tail occupancy ran past
-    the horizon and was dropped.
+    route, for drivers entering at the entrance time it was built for.
+    ``truncated_routes`` flags routes whose tail occupancy ran past the
+    horizon and was dropped.
     """
 
     matrix: np.ndarray = field(compare=False)
     horizon: int
     num_links: int
-    unit_length_hours: float
-    entrance_time: int
     truncated_routes: tuple
 
 
@@ -162,8 +161,6 @@ def build_location_matrix(net, routes, horizon, unit_length_hours, entrance_time
         matrix=matrix,
         horizon=horizon,
         num_links=n_links,
-        unit_length_hours=float(unit_length_hours),
-        entrance_time=entrance_time,
         truncated_routes=tuple(sorted(set(truncated))),
     )
 

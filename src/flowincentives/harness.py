@@ -54,7 +54,8 @@ def _check_seed(seed):
 
 @dataclass
 class Scenario:
-    """A complete experiment input; serializable to a single JSON file."""
+    """A complete experiment input; serializable to a single JSON file.
+    ``demand`` is sorted, stably, by (entrance, OD index) when it is built."""
 
     net: RoadNetwork
     od_pairs: list  # (origin, destination)
@@ -85,6 +86,7 @@ class Scenario:
                 raise InputError("entrance time must fall inside the horizon")
             if count < 0:
                 raise InputError("demand counts must be nonnegative")
+        self.demand = sorted(self.demand, key=lambda e: (e[1], e[0]))
         if self.background_volume is not None:
             bg = np.asarray(self.background_volume, dtype=float)
             if bg.shape != (self.net.num_links * self.horizon,):
@@ -157,7 +159,7 @@ def scenario_from_json(obj):
         return Scenario(
             net=net,
             od_pairs=od_pairs,
-            demand=sorted(demand, key=lambda e: (e[1], e[0])),
+            demand=demand,
             horizon=int(obj["horizon"]),
             unit_length_hours=float(obj["unit_length_hours"]),
             menu=menu,
@@ -289,7 +291,7 @@ def generate_synthetic(
     return Scenario(
         net=net,
         od_pairs=od_pairs,
-        demand=sorted(demand, key=lambda e: (e[1], e[0])),
+        demand=demand,
         horizon=horizon,
         unit_length_hours=unit_length_hours,
         menu=IncentiveMenu(tuple(menu_amounts)),
@@ -379,13 +381,13 @@ class Pipeline:
     free_flow_cost: np.ndarray
 
 
-def prepare(scenario, penetration=None, seed=None, max_routes=4):
+def prepare(scenario, penetration=None, seed=None):
     """Build routes, matrices, the eligible cohort and the background load."""
     pen = scenario.penetration_rate if penetration is None else penetration
     seed = scenario.seed if seed is None else seed
     _check_seed(seed)
     net = scenario.net
-    routes = enumerate_routes(net, scenario.od_pairs, max_routes)
+    routes = enumerate_routes(net, scenario.od_pairs)
     tt_hat = np.array([r.free_flow_time for r in routes.routes])
     if scenario.congested_estimates:
         tt_hat = congested_route_estimates(scenario, routes)
@@ -395,18 +397,16 @@ def prepare(scenario, penetration=None, seed=None, max_routes=4):
     )
     a_matrix = compose_a(location, probabilities)
 
-    entries = sorted(scenario.demand, key=lambda e: (e[1], e[0]))
     driver_ods = []
-    for od_index, entrance, count in entries:
+    for od_index, entrance, count in scenario.demand:  # first-interval drivers first
         driver_ods.extend([(od_index, entrance)] * count)
-    # entries are sorted by entrance, so first-interval drivers come first
-    n_first = sum(count for _, entrance, count in entries if entrance == 1)
+    n_first = sum(count for _, entrance, count in scenario.demand if entrance == 1)
     eligible = select_cohort(range(n_first), pen, seed)
     driver_od = np.array(driver_ods, dtype=int).reshape(-1, 2)[:, 0]
     demand = build_demand_model(routes, scenario.menu, driver_od[eligible])
 
     # the cohort's drivers come off their pairs' first-interval counts
-    held = entries + [(k, 1, -n) for k, n in enumerate(demand.q)]
+    held = scenario.demand + [(k, 1, -n) for k, n in enumerate(demand.q)]
     background = _no_incentive_volume(scenario, routes, probabilities, demand, held, location)
     blocks = demand.blocks
     t0_row = np.tile(net.free_flow_times, scenario.horizon)
@@ -539,8 +539,9 @@ _MAX_ALPHA_DOUBLINGS = 20
 
 def solve_linear(pipe, budget, alpha=1.0, rel_gap=0.01, alpha_retry=True):
     """Build and solve the free-flow MILP, doubling alpha on infeasibility
-    at most ``_MAX_ALPHA_DOUBLINGS`` times."""
-    retries = 0
+    at most ``_MAX_ALPHA_DOUBLINGS`` times. The returned report's ``nodes``
+    and ``pivots`` add up the searches at every alpha tried."""
+    retries = nodes = pivots = 0
     current = alpha
     while True:
         cfg = Scenario1Config(budget=budget, alpha=current, rel_gap=rel_gap)
@@ -556,12 +557,16 @@ def solve_linear(pipe, budget, alpha=1.0, rel_gap=0.01, alpha_retry=True):
         )
         try:
             report = solve_scenario1(model, pipe.scenario.menu, pipe.a_matrix)
-            return report, current, retries
-        except InfeasibleModelError:
+        except InfeasibleModelError as exc:
             if not alpha_retry or retries >= _MAX_ALPHA_DOUBLINGS:
                 raise
+            nodes += exc.nodes
+            pivots += exc.pivots
             current *= 2.0
             retries += 1
+        else:
+            report = dataclasses.replace(report, nodes=report.nodes + nodes, pivots=report.pivots + pivots)
+            return report, current, retries
 
 
 def solve_admm_model(pipe, budget, cfg):
@@ -740,7 +745,7 @@ def brute_force_oracle(
     best_obj, best_u, count = kernels.enumerate_assignments(
         pipe.a_matrix,
         pipe.background,
-        pipe.demand.d_matrix,
+        pipe.demand.blocks,
         q,
         pipe.costs,
         budget,

@@ -97,7 +97,7 @@ def _compositions(total, parts, memo):
 def enumerate_assignments(
     a_matrix,
     background,
-    d_matrix,
+    blocks,
     q,
     costs,
     budget,
@@ -109,28 +109,26 @@ def enumerate_assignments(
 ):
     """Best feasible offer counts by exhaustive search over count vectors.
 
-    ``d_matrix`` (OD pairs x columns) and ``q`` give each OD pair's columns
-    and driver count. Every ``u`` with ``D u = q`` and ``costs . u <=
-    budget`` (and ``A u + background <= capacity`` when ``capacity`` is
-    given) is scored by its BPR total travel time, or by ``free_flow_cost .
-    u`` when ``objective`` is "free_flow". Returns (best objective, best
-    count vector, number of feasible per-driver assignments); the count is
-    the exact int sum of prod_k q_k! / prod_j u_j! over feasible count
-    vectors, and the best count vector is None when nothing is feasible.
+    ``blocks`` (``DemandModel.blocks``) lists each OD pair's columns,
+    ascending, and ``q`` its driver count. Every ``u`` whose pair counts
+    sum to ``q`` with ``costs . u <= budget`` (and ``A u + background <=
+    capacity`` when ``capacity`` is given) is scored by its BPR total
+    travel time, or by ``free_flow_cost . u`` when ``objective`` is
+    "free_flow". Returns (best objective, best count vector, number of
+    feasible per-driver assignments); the count is the exact int sum of
+    prod_k q_k! / prod_j u_j! over feasible count vectors, and the best
+    count vector is None when nothing is feasible.
     """
     memo = {}
-    blocks = []
-    for row, q_k in zip(d_matrix, q):
-        cols = np.nonzero(row)[0]
-        blocks.append((cols, *_compositions(int(q_k), len(cols), memo)))
-    sizes = [len(table) for _, table, _ in blocks]
+    pairs = [(cols, *_compositions(int(q_k), len(cols), memo)) for cols, q_k in zip(blocks, q)]
+    sizes = [len(table) for _, table, _ in pairs]
     n_vectors = math.prod(sizes)
     step = max(1, ENUMERATION_CHUNK // a_matrix.shape[0])
     best_obj, best_u, count = np.inf, None, 0
     for start in range(0, n_vectors, step):
         digits = np.unravel_index(np.arange(start, min(start + step, n_vectors)), sizes)
         u = np.zeros((len(digits[0]), a_matrix.shape[1]))
-        for (cols, table, _), d in zip(blocks, digits):
+        for (cols, table, _), d in zip(pairs, digits):
             u[:, cols] = table[d]
         v = u @ a_matrix.T + background
         feasible = u @ costs <= budget + 1e-9
@@ -140,7 +138,7 @@ def enumerate_assignments(
         if rows.size == 0:
             continue
         weight = 1
-        for (_, _, weights), d in zip(blocks, digits):
+        for (_, _, weights), d in zip(pairs, digits):
             weight = weight * weights[d[rows]]
         count += int(weight.sum())
         if objective == "free_flow":

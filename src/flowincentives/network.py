@@ -82,9 +82,9 @@ class RoadNetwork:
 
 @dataclass(frozen=True)
 class Route:
-    """A simple directed path, stored as its link ids in travel order."""
+    """A simple directed path, stored as its link ids in travel order; its
+    OD pair is the one whose ``RouteSet.route_of_od`` entry lists it."""
 
-    od: tuple
     links: tuple
     free_flow_time: float
 
@@ -176,7 +176,7 @@ def shortest_path(net, origin, destination, mask=frozenset()):
             continue
         settled.add(node)
         if node == destination:
-            return Route(od=(origin, destination), links=path, free_flow_time=cost)
+            return Route(links=path, free_flow_time=cost)
         for lk in adjacency[node]:
             if lk.id not in mask and lk.head not in settled:
                 heapq.heappush(heap, (cost + lk.t0_hours, path + (lk.id,), lk.head))

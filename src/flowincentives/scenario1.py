@@ -77,7 +77,7 @@ class Scenario1Report:
     fixed_columns: int  # columns the MILP fixes at 0: copies and empty pairs
 
 
-def build_scenario1(routes, probabilities, location, demand, net, cfg, background=None, columns=None):
+def build_scenario1(routes, probabilities, location, demand, net, cfg, background, columns=None):
     """Assemble the MILP: one integer offer count per (route, incentive) column.
 
     ``demand`` supplies the eligible drivers; its rows D u = q make each OD
@@ -90,9 +90,6 @@ def build_scenario1(routes, probabilities, location, demand, net, cfg, backgroun
     times, stacked over the horizon, pushed through A = R P.
     """
     a_matrix = compose_a(location, probabilities)
-    n_rows = a_matrix.shape[0]
-    if background is None:
-        background = np.zeros(n_rows)
     background = np.asarray(background, dtype=float)
     blocks = demand.blocks
     if columns is not None and (
@@ -179,6 +176,8 @@ def solve_scenario1(model, menu, a_matrix, rel_gap=None, node_limit=200_000):
         raise InfeasibleModelError(
             "no offer assignment satisfies the scaled capacity rows",
             binding_rows=candidate_binding_rows(model, a_matrix),
+            nodes=res.nodes,
+            pivots=res.pivots,
         )
     if res.x is None:
         raise SolverLimitError("node_limit", node_limit)

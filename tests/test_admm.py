@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from flowincentives.admm import (
-    OBJECTIVE_BLOCK,
     OBJECTIVE_BLOCK_FLOATS,
     AdmmConfig,
     AdmmProblem,
@@ -333,10 +332,11 @@ def test_masked_closed_forms_minimize_their_blocks():
 
     u_star = u_update(state, problem, rho, build_u_factor(problem))
     assert np.max(np.abs(numeric_gradient(lambda u: lagrangian(u=u), u_star))) < 1e-6
-    w_star = w_update(state.s_mat, state.lam2, state.lam7, rho, state.classes)
+    w_star = w_update(state.s_mat, state.lam2, state.lam7, rho, state.classes, state.pair_divisor)
     assert np.max(np.abs(numeric_gradient(lambda w: lagrangian(w=w), w_star))) < 1e-6
     s_star = s_update(
-        state.u, state.h_mat, state.w_mat, state.lam1, state.lam5, state.lam7, rho, state.weights
+        state.u, state.h_mat, state.w_mat, state.lam1, state.lam5, state.lam7, rho, state.weights,
+        state.s_divisor,
     )
     assert np.max(np.abs(numeric_gradient(lambda s: lagrangian(s=s), s_star))) < 1e-6
 
@@ -1019,16 +1019,16 @@ def test_prox_constant_is_computed_once_per_problem():
 
 @pytest.mark.parametrize("make_problem", [readme_problem, lambda: synthetic_problem(nodes=160, drivers=480)])
 def test_objectives_evaluated_in_blocks_equal_one_sweep_at_a_time(make_problem):
-    # each sweep's A u + bg waits on the state, and up to OBJECTIVE_BLOCK of
-    # them (fewer when they would pass OBJECTIVE_BLOCK_FLOATS) are scored as
-    # one block: after that many sweeps, or when the history is read. Each
-    # objective must be the 1-D sum of its sweep's BPR terms, to the bit
+    # each sweep's A u + bg waits on the state, and as many of them as fit
+    # in OBJECTIVE_BLOCK_FLOATS are scored as one block: after that many
+    # sweeps, or when the history is read. Each objective must be the 1-D
+    # sum of its sweep's BPR terms, to the bit
     problem = make_problem()
     cfg = AdmmConfig()
     factor = build_u_factor(problem)
     state = initial_state(problem, masked=True)
     rows = problem.t0_row.size
-    assert state.objective_block == min(OBJECTIVE_BLOCK, OBJECTIVE_BLOCK_FLOATS // rows)
+    assert state.objective_block == OBJECTIVE_BLOCK_FLOATS // rows
     expected, pending = [], 0
     for sweep in range(150):
         admm_iterate(state, problem, cfg, factor, (sweep % 2, 1 - sweep % 2))

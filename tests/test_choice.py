@@ -101,8 +101,8 @@ def test_build_matrix_uniform_for_equal_times(parallel_links_net):
 
 def test_zero_incentive_columns_equal_no_incentive(appendix_c_pipe):
     probs = appendix_c_pipe.probabilities
-    base = probs.column(0, 0)
-    assert probs.column(1, 0) == pytest.approx(list(base), abs=1e-15)
+    base = probs.matrix[:, offer_column(probs.menu, 0, 0)]
+    assert probs.matrix[:, offer_column(probs.menu, 1, 0)] == pytest.approx(list(base), abs=1e-15)
 
 
 def test_monotonicity_in_amount():
@@ -163,7 +163,6 @@ def test_column_layout_costs_and_tally_agree():
             col = offer_column(menu, j, i)
             seen.add(col)
             assert probs.costs[col] == amount
-            assert np.array_equal(probs.column(j, i), probs.matrix[:, col])
             expected[amount] += int(counts[col])
     assert seen == set(range(probs.matrix.shape[1]))
     tally = amount_tally(menu, counts)

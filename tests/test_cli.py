@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import flowincentives.cli as cli
+from flowincentives import harness
 from flowincentives.cli import main
 from flowincentives.errors import DivergenceError, SolverLimitError
 
@@ -140,6 +141,30 @@ def test_unconverged_admm_warns(tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+def test_unknown_preset_exit_code(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    assert main(["generate", "--preset", "appendix-d", "--out", str(scenario)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: unknown preset 'appendix-d'"]
+    assert not scenario.exists()
+
+
+def test_node_limited_linear_warns(tmp_path, capsys, monkeypatch):
+    # the README generator at 6 drivers: under a 20-node limit the search
+    # stops with an incumbent at gap 0.014, above the 1% asked for
+    solve = harness.solve_scenario1
+    monkeypatch.setattr(harness, "solve_scenario1", lambda *args: solve(*args, node_limit=20))
+    scenario = tmp_path / "scenario.json"
+    generate = "generate --nodes 8 --tightness 1.3 --drivers 6 --seed 7 --out"
+    main([*generate.split(), str(scenario)])
+    capsys.readouterr()
+    code = main(["solve", str(scenario), "--model", "linear", "--budget", "100", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: linear run at budget 100, penetration 1 stopped at its node limit "
+        "(status iteration-limit, gap 0.014)"
+    ]
 
 
 def test_report_verb(tmp_path, capsys):

@@ -162,7 +162,7 @@ def _no_incentive_load(scenario, routes, probabilities, entrance, od_index, cach
         cache[entrance] = build_location_matrix(
             scenario.net, routes, scenario.horizon, scenario.unit_length_hours, entrance_time=entrance
         )
-    col = probabilities.column(routes.route_of_od[od_index][0], 0)
+    col = probabilities.matrix[:, offer_column(probabilities.menu, routes.route_of_od[od_index][0], 0)]
     return cache[entrance].matrix @ col
 
 

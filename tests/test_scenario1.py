@@ -338,7 +338,8 @@ def test_default_gap_at_100_drivers_matches_scipy_per_driver_milp():
 
 def test_linear_report_carries_nodes_and_pivots(monkeypatch):
     # the README generator at 6 drivers: report.json's extra carries the
-    # node count the MIP returned and the pivots of all its LPs
+    # nodes and the pivots of all the LPs of every MIP solved, here the
+    # infeasible one at alpha = 1 (15 pivots) and the one at alpha = 2
     returned = []
     solve = scenario1.solve_binary_mip
 
@@ -352,8 +353,9 @@ def test_linear_report_carries_nodes_and_pivots(monkeypatch):
     for key in ("mip_nodes", "lp_pivots"):
         assert type(extra[key]) is int
         assert extra[key] > 0
-    assert extra["mip_nodes"] == returned[-1].nodes
-    assert extra["lp_pivots"] == returned[-1].pivots
+    assert extra["alpha_retries"] == 1 and [r.status for r in returned] == ["infeasible", "gap-limit"]
+    assert extra["mip_nodes"] == sum(r.nodes for r in returned)
+    assert extra["lp_pivots"] == sum(r.pivots for r in returned) > returned[-1].pivots
 
 
 def test_linear_report_carries_fixed_columns(monkeypatch):

@@ -650,7 +650,8 @@ def admm_iterate(state, problem, cfg, u_factor, order=(0, 1)):
     reads the most recent values of the other variables. Appends the
     seven residual norms, S-sized ones weighted per driver, to the state's
     history, and A u + bg to the volumes whose relaxed objectives
-    ``objective_history`` evaluates in blocks.
+    ``objective_history`` evaluates in blocks. Returns the largest of the
+    seven norms.
     """
     rho = cfg.rho
     p = problem
@@ -682,7 +683,8 @@ def admm_iterate(state, problem, cfg, u_factor, order=(0, 1)):
         np.sqrt(norms, norms)
     # the norms read every block (each feeds some residual linearly), so a
     # NaN or inf anywhere shows up here; name the block before duals move
-    if not math.isfinite(norms.max()):
+    largest = norms.max()
+    if not math.isfinite(largest):
         _check_finite(state, state.iteration)
 
     residual *= rho
@@ -692,7 +694,7 @@ def admm_iterate(state, problem, cfg, u_factor, order=(0, 1)):
     state.pending_volumes.append(volume)
     if len(state.pending_volumes) >= state.objective_block:
         state.flush_objectives()
-    return state
+    return largest
 
 
 def run_admm(problem, cfg=None):
@@ -709,8 +711,7 @@ def run_admm(problem, cfg=None):
     converged = False
     for _ in range(cfg.max_iters):
         order = rng.permutation(2).tolist()
-        admm_iterate(state, problem, cfg, u_factor, order)
-        if state.residual_history[-1].max() < cfg.residual_tol:
+        if admm_iterate(state, problem, cfg, u_factor, order) < cfg.residual_tol:
             converged = True
             break
     return AdmmResult(

@@ -44,6 +44,7 @@ from .network import (
 from .scenario1 import Scenario1Config, build_scenario1, solve_scenario1
 
 ORACLE_LIMIT = 10_000_000
+DEFAULT_MENU_AMOUNTS = (0.0, 2.0, 10.0)
 
 
 def _check_seed(seed):
@@ -136,6 +137,13 @@ def scenario_to_json(scenario):
     return obj
 
 
+def _present(obj, **parsers):
+    """The keys of ``obj`` that ``parsers`` names, each value parsed by its
+    parser (None keeps it as read). Absent keys are left out, so they take
+    the constructor's own default."""
+    return {key: parse(obj[key]) if parse else obj[key] for key, parse in parsers.items() if key in obj}
+
+
 def scenario_from_json(obj):
     try:
         net, od_rows = network_from_json(obj["network"])
@@ -151,25 +159,16 @@ def scenario_from_json(obj):
         else:
             demand = [(i, 1, n) for i, (_, _, n) in enumerate(od_rows) if n > 0]
         choice = obj.get("choice", {})
-        menu = IncentiveMenu(tuple(choice.get("incentive_amounts", (0.0, 2.0, 10.0))))
-        coeffs = ChoiceCoefficients(
-            theta_tt=float(choice.get("theta_tt", -0.086)),
-            theta_inc=float(choice.get("theta_inc", 0.7)),
-        )
         return Scenario(
             net=net,
             od_pairs=od_pairs,
             demand=demand,
             horizon=int(obj["horizon"]),
             unit_length_hours=float(obj["unit_length_hours"]),
-            menu=menu,
-            coeffs=coeffs,
-            penetration_rate=float(obj.get("penetration_rate", 1.0)),
-            seed=int(obj.get("seed", 0)),
-            background_volume=obj.get("background_volume"),
-            vot=float(obj.get("vot", DEFAULT_VALUE_OF_TIME)),
-            congested_estimates=bool(choice.get("congested_estimates", False)),
-            name=obj.get("name", ""),
+            menu=IncentiveMenu(tuple(choice.get("incentive_amounts", DEFAULT_MENU_AMOUNTS))),
+            coeffs=ChoiceCoefficients(**_present(choice, theta_tt=float, theta_inc=float)),
+            **_present(choice, congested_estimates=bool),
+            **_present(obj, penetration_rate=float, seed=int, background_volume=None, vot=float, name=None),
         )
     except InputError:
         raise
@@ -220,7 +219,7 @@ def generate_synthetic(
     seed=0,
     horizon=2,
     unit_length_hours=0.2,
-    menu_amounts=(0.0, 2.0, 10.0),
+    menu_amounts=DEFAULT_MENU_AMOUNTS,
     multi_route_fraction=1.0,
     later_fraction=0.0,
     detour_capacity_factor=1.0,
@@ -496,48 +495,34 @@ class ExperimentReport:
             raise InputError(f"malformed report JSON: {exc}") from exc
 
 
-CSV_COLUMNS = (
-    "model",
-    "budget",
-    "penetration_rate",
-    "seed",
-    "cost_used",
-    "pct_rewarded_drivers",
-    "avg_incentive_rewarded",
-    "baseline_tt_hours",
-    "achieved_tt_hours",
-    "pct_reduction",
-    "value_of_saved_time",
-    "incentive_distribution",
-)
+_NUMBER = "{:.10g}".format
+# each CSV column, in order, with the formatter of its report field
+_CSV_FORMATS = {
+    "model": str,
+    "budget": _NUMBER,
+    "penetration_rate": _NUMBER,
+    "seed": str,
+    "cost_used": _NUMBER,
+    "pct_rewarded_drivers": _NUMBER,
+    "avg_incentive_rewarded": _NUMBER,
+    "baseline_tt_hours": _NUMBER,
+    "achieved_tt_hours": _NUMBER,
+    "pct_reduction": _NUMBER,
+    "value_of_saved_time": _NUMBER,
+    "incentive_distribution": lambda dist: ";".join(f"{_NUMBER(a)}:{n}" for a, n in sorted(dist.items())),
+}
+CSV_COLUMNS = tuple(_CSV_FORMATS)
 
 
 def report_csv_row(report):
     """Stable text row; excludes wall time so reruns are byte-identical."""
-    dist = ";".join(
-        f"{amount:.10g}:{count}" for amount, count in sorted(report.incentive_distribution.items())
-    )
-    values = (
-        report.model,
-        f"{report.budget:.10g}",
-        f"{report.penetration_rate:.10g}",
-        str(report.seed),
-        f"{report.cost_used:.10g}",
-        f"{report.pct_rewarded_drivers:.10g}",
-        f"{report.avg_incentive_rewarded:.10g}",
-        f"{report.baseline_tt_hours:.10g}",
-        f"{report.achieved_tt_hours:.10g}",
-        f"{report.pct_reduction:.10g}",
-        f"{report.value_of_saved_time:.10g}",
-        dist,
-    )
-    return ",".join(values)
+    return ",".join(fmt(getattr(report, column)) for column, fmt in _CSV_FORMATS.items())
 
 
 _MAX_ALPHA_DOUBLINGS = 20
 
 
-def solve_linear(pipe, budget, alpha=1.0, rel_gap=0.01, alpha_retry=True):
+def solve_linear(pipe, budget, alpha, rel_gap, alpha_retry):
     """Build and solve the free-flow MILP, doubling alpha on infeasibility
     at most ``_MAX_ALPHA_DOUBLINGS`` times. The returned report's ``nodes``
     and ``pivots`` add up the searches at every alpha tried."""
@@ -598,13 +583,13 @@ def run_experiment(
     budget,
     penetration=None,
     seed=None,
-    alpha=1.0,
+    alpha=Scenario1Config.alpha,
     alpha_retry=True,
-    rel_gap=0.01,
-    rho=1.0,
-    lambda_reg=0.0,
-    max_iters=5000,
-    tol=1e-4,
+    rel_gap=Scenario1Config.rel_gap,
+    rho=AdmmConfig.rho,
+    lambda_reg=AdmmConfig.lambda_reg,
+    max_iters=AdmmConfig.max_iters,
+    tol=AdmmConfig.residual_tol,
     vot=None,
 ):
     """End-to-end run: prepare, solve, evaluate realized travel time, report."""
@@ -633,9 +618,7 @@ def run_experiment(
         counts = zero_counts
         extra["note"] = "no eligible drivers; baseline assignment"
     elif model == "linear":
-        report1, alpha_used, retries = solve_linear(
-            pipe, budget, alpha=alpha, rel_gap=rel_gap, alpha_retry=alpha_retry
-        )
+        report1, alpha_used, retries = solve_linear(pipe, budget, alpha, rel_gap, alpha_retry)
         counts = report1.counts
         extra.update(
             {

@@ -68,6 +68,69 @@ def test_sweep_byte_identical(tmp_path):
     assert (dirs[0] / "report.csv").read_bytes() == (dirs[1] / "report.csv").read_bytes()
 
 
+def test_sweep_penetration_reaches_the_grid(tmp_path):
+    # sweep takes no --penetration of its own: argparse completes the prefix
+    # to --penetrations, so the rows are written at the rate asked for
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--nodes", "4", "--drivers", "4", "--seed", "2", "--out", str(scenario)])
+    code = main(["sweep", str(scenario), "--model", "admm", "--budgets", "0,4", "--penetration", "0.5",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "report.csv").read_text().splitlines()
+    column = rows[0].split(",").index("penetration_rate")
+    assert [row.split(",")[column] for row in rows[1:]] == ["0.5", "0.5"]
+
+
+def test_solve_passes_only_the_flags_set(tmp_path, monkeypatch):
+    # a flag left out is not passed, so run_experiment's own default applies
+    calls = []
+
+    def recorded(scenario, **kwargs):
+        calls.append(kwargs)
+        raise SolverLimitError("node_limit", 0)
+
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--preset", "appendix-c", "--out", str(scenario)])
+    monkeypatch.setattr(cli, "run_experiment", recorded)
+    main(["solve", str(scenario), "--model", "admm"])
+    main(["solve", str(scenario), "--model", "linear", "--budget", "5", "--rel-gap", "0.1", "--no-alpha-retry"])
+    assert calls == [
+        {"model": "admm", "budget": 0.0},
+        {"model": "linear", "budget": 5.0, "rel_gap": 0.1, "alpha_retry": False},
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["sweep", "SCENARIO", "--model", "admm", "--budgets", "0,abc"], "--budgets"),
+        (["generate", "--menu", "0,x", "--out", "OUT"], "--menu"),
+        (["solve", "SCENARIO"], "--model"),
+        (["oracle", "SCENARIO", "--budget", "one"], "--budget"),
+        ([], "required"),
+    ],
+    ids=["sweep --budgets 0,abc", "generate --menu 0,x", "solve without --model", "oracle --budget one", "no verb"],
+)
+def test_usage_error_exit_code(tmp_path, capsys, argv, word):
+    # exit code 2 means an infeasible model; a malformed command line is
+    # one error line and exit code 1, not argparse's 2 or a traceback
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--preset", "appendix-c", "--out", str(scenario)])
+    capsys.readouterr()
+    argv = [{"SCENARIO": str(scenario), "OUT": str(tmp_path / "out.json")}.get(a, a) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: flowincentives") and word in err[0], err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", "--help"])
+    assert stop.value.code == 0
+    assert "--rel-gap" in capsys.readouterr().out
+
+
 def test_oracle_verb(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     main(["generate", "--preset", "appendix-c", "--out", str(scenario)])

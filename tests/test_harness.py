@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import json
 
@@ -7,11 +8,12 @@ import pytest
 from conftest import make_assignment
 
 from flowincentives import harness
-from flowincentives.admm import round_counts
-from flowincentives.choice import IncentiveMenu, build_choice_matrix, offer_column
+from flowincentives.admm import AdmmConfig, round_counts
+from flowincentives.choice import ChoiceCoefficients, IncentiveMenu, build_choice_matrix, offer_column
 from flowincentives.errors import InputError, OracleSizeError
 from flowincentives.flow import build_location_matrix
 from flowincentives.harness import (
+    DEFAULT_MENU_AMOUNTS,
     Scenario,
     appendix_c_scenario,
     brute_force_oracle,
@@ -32,6 +34,7 @@ from flowincentives.harness import (
     zero_assignment,
 )
 from flowincentives.network import Link, RoadNetwork, bpr_travel_time, enumerate_routes
+from flowincentives.scenario1 import Scenario1Config
 
 
 def test_generate_deterministic(tmp_path):
@@ -75,6 +78,30 @@ def test_scenario_json_round_trip(tmp_path):
     assert loaded.menu.amounts == scenario.menu.amounts
     assert loaded.net.links == scenario.net.links
     assert loaded.penetration_rate == scenario.penetration_rate
+
+
+def test_scenario_json_absent_keys_take_the_defaults():
+    obj = scenario_to_json(generate_synthetic(nodes=6, richness=2, drivers=7, seed=4))
+    optional = ("penetration_rate", "seed", "vot", "name")
+    for key in optional:
+        del obj[key]
+    obj["choice"] = {"theta_tt": -0.1}
+    scenario = scenario_from_json(obj)
+    defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+    assert {key: getattr(scenario, key) for key in optional} == {key: defaults[key] for key in optional}
+    assert scenario.background_volume is None and scenario.congested_estimates is False
+    assert scenario.coeffs == ChoiceCoefficients(theta_tt=-0.1)
+    assert scenario.menu.amounts == DEFAULT_MENU_AMOUNTS
+    del obj["choice"]
+    assert scenario_from_json(obj).coeffs == ChoiceCoefficients()
+
+
+def test_run_experiment_defaults_are_the_configs():
+    params = inspect.signature(run_experiment).parameters
+    admm, milp = AdmmConfig(), Scenario1Config(budget=0.0)
+    assert [params[name].default for name in ("rho", "lambda_reg", "max_iters", "tol", "alpha", "rel_gap")] == [
+        admm.rho, admm.lambda_reg, admm.max_iters, admm.residual_tol, milp.alpha, milp.rel_gap,
+    ]
 
 
 def test_scenario_validation():

@@ -10,11 +10,17 @@ split into consensus copies so every block update has a closed form:
 
 An optional concave regularizer with weight ``lambda_reg`` (default 0)
 pushes the entries of H toward {0, 1}; with weight zero the problem is
-convex. The iteration is a two-block alternation whose block order is
-randomly permuted each sweep. The duals of the seven coupling constraints
-are one flat vector and a sweep's seven residuals one vector of the same
-layout; the dual ascent adds rho times the residual exactly, in one step,
-which the test suite asserts.
+convex. The iteration is plain two-block ADMM in one fixed order: block 0
+updates {u, W, H}, block 1 {S, gamma, beta}, and the variables of each
+block separate once the other block is fixed. For two blocks the fixed
+order is the textbook method, which converges on convex objectives (Boyd
+et al., 2011, section 3.2, cited below); a random order each sweep is the
+remedy for three or more blocks (Sun, Luo & Ye, "On the expected
+convergence of randomly permuted ADMM", 2015), and here it took more
+sweeps on every README-generator scale measured. The duals of the seven
+coupling constraints are one flat vector and a sweep's seven residuals one
+vector of the same layout; the dual ascent adds rho times the residual
+exactly, in one step, which the test suite asserts.
 
 The admm model runs one relaxation, then ``round_counts`` finds the integer
 offer counts nearest its u in L1 exactly (a multiple-choice knapsack DP
@@ -109,10 +115,11 @@ class AdmmConfig:
 
     ``rho`` must exceed ``lambda_reg``, which keeps the H subproblem convex
     (an interval projection). Iteration stops at ``max_iters`` or once all
-    seven residual norms fall below ``residual_tol``; ``seed`` drives the
-    block order. ``rho``, ``lambda_reg`` and ``residual_tol`` must be finite,
-    ``max_iters`` an integer and ``seed`` nonnegative; a ``residual_tol`` of
-    0 runs every sweep.
+    seven residual norms fall below ``residual_tol``. ``run_admm`` runs its
+    blocks in one fixed order and does not read ``seed``, which stays an
+    accepted, checked field. ``rho``, ``lambda_reg`` and ``residual_tol`` must
+    be finite, ``max_iters`` an integer and ``seed`` nonnegative; a
+    ``residual_tol`` of 0 runs every sweep.
     """
 
     rho: float = 1.0
@@ -647,7 +654,10 @@ def admm_iterate(state, problem, cfg, u_factor, order=(0, 1)):
 
     Block 0 updates {u, W, H}, the u step applying ``u_factor`` (from
     ``build_u_factor``); block 1 updates {S, gamma, beta}. Every update
-    reads the most recent values of the other variables. Appends the
+    reads the most recent values of the other variables. ``run_admm`` uses
+    the default (0, 1), in which block 1's A u + bg serves the residuals;
+    other orders remain for the identity tests, and after a sweep ending
+    in block 0 the volume is formed again at the new u. Appends the
     seven residual norms, S-sized ones weighted per driver, to the state's
     history, and A u + bg to the volumes whose relaxed objectives
     ``objective_history`` evaluates in blocks. Returns the largest of the
@@ -700,18 +710,17 @@ def admm_iterate(state, problem, cfg, u_factor, order=(0, 1)):
 def run_admm(problem, cfg=None):
     """Iterate to the relaxed solution; early exit once residuals pass tol.
 
-    The state is masked, whatever ``problem.columns`` lists. The order of
-    the two primal blocks is permuted each sweep by a generator seeded from
-    the config, so runs are reproducible.
+    The state is masked, whatever ``problem.columns`` lists. Every sweep
+    runs block 0 then block 1, ``admm_iterate``'s default order, so a run
+    depends on its problem and config only, and each sweep forms A u + bg
+    once: block 1 computes it at the new u and the residuals reuse it.
     """
     cfg = cfg or AdmmConfig()
     state = initial_state(problem, masked=True)
     u_factor = build_u_factor(problem)
-    rng = np.random.default_rng(cfg.seed)
     converged = False
     for _ in range(cfg.max_iters):
-        order = rng.permutation(2).tolist()
-        if admm_iterate(state, problem, cfg, u_factor, order) < cfg.residual_tol:
+        if admm_iterate(state, problem, cfg, u_factor) < cfg.residual_tol:
             converged = True
             break
     return AdmmResult(

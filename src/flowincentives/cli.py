@@ -101,6 +101,8 @@ def _warn_unconverged(report):
 def cmd_generate(out, preset=None, **synthetic):
     if preset is None:
         scenario = generate_synthetic(**synthetic)
+    elif synthetic:
+        raise InputError("--preset takes no synthetic scenario flags")
     elif preset == "appendix-c":
         scenario = appendix_c_scenario()
     else:

@@ -605,9 +605,7 @@ def run_experiment(
         raise InputError("value of time must be positive and finite")
     cfg = None
     if model == "admm":
-        cfg = AdmmConfig(
-            rho=rho, lambda_reg=lambda_reg, max_iters=max_iters, residual_tol=tol, seed=run_seed
-        )
+        cfg = AdmmConfig(rho=rho, lambda_reg=lambda_reg, max_iters=max_iters, residual_tol=tol)
     pen = scenario.penetration_rate if penetration is None else penetration
     pipe = prepare(scenario, penetration=pen, seed=run_seed)
     zero_counts = pipe.demand.zero_counts(pipe.costs)

@@ -472,7 +472,7 @@ def test_zero_demand_pairs_carry_no_offer_mass():
 
 
 def test_relaxation_at_2400_drivers_converges():
-    # 1,596 offer columns over 266 OD pairs; about 1,300 sweeps
+    # 1,596 offer columns over 266 OD pairs; about 1,000 sweeps
     problem = synthetic_problem(nodes=800, drivers=2400)
     cfg = AdmmConfig()
     res = run_admm(problem, cfg)
@@ -781,29 +781,26 @@ def test_sweep_is_bit_identical_to_frozen_reference(make_problem, rho, lambda_re
         # route) are exact duplicates; at lambda 0.5 the run never
         # converges, and rounding alone decides which of the two the
         # regularizer fills: a 1e-16 nudge to lam1 of the per-driver run
-        # moves its u by 3 within 1,100 sweeps. Any two summation orders
-        # part that way, so compare the first 40 sweeps
+        # moves its u by 1e-9 within 95 sweeps and by 1 within 289. Any
+        # two summation orders part that way, so compare the first 40 sweeps
         (readme_problem, 0.5, 40),
-        # 78 columns over 13 OD pairs, 85 sweeps
+        # 78 columns over 13 OD pairs, 76 sweeps
         (hundred_driver_problem, 0.0, 3000),
     ],
 )
 def test_class_run_matches_per_driver_iteration(make_problem, lambda_reg, max_iters, monkeypatch):
     # run_admm carries one q_k-weighted entry per offer column, on its own
     # OD pair only; the frozen masked per-driver loop, one unit-weight
-    # driver per problem.columns entry, with the same block orders and the
-    # same prox, must tell the same story
+    # driver per problem.columns entry, in the same fixed block order and
+    # with the same prox, must tell the same story
     monkeypatch.setattr("flowincentives.admm.gamma_solve", frozen_prox)
     problem = make_problem()
-    cfg = AdmmConfig(rho=1.0, lambda_reg=lambda_reg, max_iters=max_iters, seed=6)
+    cfg = AdmmConfig(rho=1.0, lambda_reg=lambda_reg, max_iters=max_iters)
     result = run_admm(problem, cfg)
     factor = build_u_factor(problem)
     state = admm_reference.masked_start(problem)
-    rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.max_iters):
-        admm_reference.masked_sweep(
-            state, problem, cfg.rho, cfg.lambda_reg, factor, tuple(rng.permutation(2))
-        )
+        admm_reference.masked_sweep(state, problem, cfg.rho, cfg.lambda_reg, factor, (0, 1))
         if np.max(state.residual_history[-1]) < cfg.residual_tol:
             break
     assert result.iterations == state.iteration
@@ -814,6 +811,26 @@ def test_class_run_matches_per_driver_iteration(make_problem, lambda_reg, max_it
     assert np.all(np.abs(result.residuals - per_driver) <= 1e-9 * per_driver.max(axis=0))
     assert np.allclose(result.objectives, state.objective_history, rtol=1e-9, atol=0.0)
     assert result.state.s_mat.shape == (problem.num_columns,)
+
+
+def test_run_reads_no_seed_and_forms_the_volume_once_per_sweep(monkeypatch):
+    # every sweep runs block 0 then block 1, so the config's seed changes
+    # nothing, and block 1's A u + bg at the new u serves the residuals:
+    # one volume per sweep, plus the one initial_state forms
+    problem = hundred_driver_problem()
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _volume(*args)
+
+    monkeypatch.setattr("flowincentives.admm._volume", counted)
+    first = run_admm(problem, AdmmConfig(seed=0))
+    assert first.converged and len(calls) == first.iterations + 1
+    again = run_admm(problem, AdmmConfig(seed=6))
+    assert again.iterations == first.iterations
+    assert np.array_equal(again.u, first.u)
+    assert np.array_equal(again.residuals, first.residuals)
 
 
 def zero_edge_problem():
@@ -949,6 +966,14 @@ def test_u_factor_on_shared_links_fits_in_the_dense_inverse_memory():
     assert peak <= 2 * n * n * 8 + 10 * nonzeros * 8
 
 
+def test_relaxation_on_shared_links_converges():
+    # one trunk joins every OD pair's columns, so the u step applies one
+    # dense 477-column block; the default run must converge, in its sweeps
+    res = run_admm(trunk_problem())
+    assert res.converged and res.iterations == 1108
+    assert np.all(res.residuals[-1] < AdmmConfig.residual_tol)
+
+
 def assert_prox_matches_compressed_newton(m, lam, rho, t0, w):
     """The every-row prox equals the frozen compressed Newton to the bit,
     and every row with phi(0) >= 0 comes back exactly 0."""
@@ -986,7 +1011,7 @@ def test_gamma_solve_meets_first_order_condition_near_frozen_reference():
 
 
 def test_gamma_solve_matches_compressed_newton_on_a_480_driver_run(monkeypatch):
-    # every prox call of the 480-driver relaxation (610 sweeps), captured
+    # every prox call of the 480-driver relaxation (497 sweeps), captured
     # at its inputs: most rows are active and the rest sit at phi(0) >= 0
     calls = []
 
@@ -996,7 +1021,7 @@ def test_gamma_solve_matches_compressed_newton_on_a_480_driver_run(monkeypatch):
 
     monkeypatch.setattr("flowincentives.admm.gamma_solve", capture)
     result = run_admm(synthetic_problem(nodes=160, drivers=480))
-    assert len(calls) == result.iterations == 610
+    assert len(calls) == result.iterations == 497
     inactive = 0
     for m, lam, rho, t0, w in calls:
         assert_prox_matches_compressed_newton(m, lam, rho, t0, w)

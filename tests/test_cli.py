@@ -213,6 +213,16 @@ def test_unknown_preset_exit_code(tmp_path, capsys):
     assert not scenario.exists()
 
 
+@pytest.mark.parametrize("flags", [["--drivers", "100"], ["--seed", "3", "--menu", "0,5"]])
+def test_preset_with_synthetic_flags_is_rejected(tmp_path, capsys, flags):
+    # a preset fixes the whole scenario, so a synthetic flag beside it
+    # would be dropped without a word
+    scenario = tmp_path / "scenario.json"
+    assert main(["generate", "--preset", "appendix-c", *flags, "--out", str(scenario)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --preset takes no synthetic scenario flags"]
+    assert not scenario.exists()
+
+
 def test_node_limited_linear_warns(tmp_path, capsys, monkeypatch):
     # the README generator at 6 drivers: under a 20-node limit the search
     # stops with an incumbent at gap 0.014, above the 1% asked for

@@ -22,11 +22,11 @@ coupling constraints are one flat vector and a sweep's seven residuals one
 vector of the same layout; the dual ascent adds rho times the residual
 exactly, in one step, which the test suite asserts.
 
-The admm model runs one relaxation, then ``round_counts`` finds the integer
-offer counts nearest its u in L1 exactly (a multiple-choice knapsack DP
-over spend), ``polish_counts`` moves single drivers within their OD pair
-while that lowers the BPR travel time, and ``flow.deal_counts`` builds the
-per-driver assignment once.
+The admm model runs one relaxation, then ``rounding.round_counts`` finds
+the integer offer counts nearest its u in L1 exactly (one vectorised pass
+when the budget is slack, else a DP over OD pairs), ``polish_counts`` moves
+single drivers within their OD pair while that lowers the BPR travel time,
+and ``flow.deal_counts`` builds the per-driver assignment once.
 
 Neither the u step nor the polish holds an n_cols x n_cols array unless
 the network couples every column. The u step's M = I + D^T D + A^T A +
@@ -88,9 +88,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, InfeasibleModelError, InputError
+from .errors import DivergenceError, InputError
 from .flow import deal_counts
 from .kernels import bpr_terms, gamma_solve
+from .rounding import round_counts
 
 RESIDUAL_LABELS = (
     "offer_mass",  # ||S 1 - u||
@@ -733,61 +734,6 @@ def run_admm(problem, cfg=None):
         state=state,
         u_factor=u_factor,
     )
-
-
-def round_counts(u_star, demand, costs, budget):
-    """Integer offer counts nearest to ``u_star`` in L1, exactly.
-
-    Minimizes sum |u - u*| over nonnegative integer u with per-OD totals
-    D u = q and costs @ u <= budget (1e-9 slack), with u* clipped at 0.
-    A DP adds one column at a time, OD pair by OD pair, each taking 0..q_k
-    drivers; a state is (drivers placed in the current pair, spend, L1), and
-    only the (spend, L1) Pareto frontier of each drivers-placed group is
-    kept, exact ties keeping the first state. Pairs couple only through the
-    budget, so this is the exact multiple-choice knapsack DP of Kellerer,
-    Pferschy & Pisinger, *Knapsack Problems* (2004), ch. 11, for any
-    nonnegative costs. Returns (counts, L1 distance); among count vectors at
-    the least distance the one with the least spend wins.
-    """
-    u_star = np.clip(np.asarray(u_star, dtype=float), 0.0, None)
-    costs = np.asarray(costs, dtype=float)
-    if np.any(costs < 0):
-        raise InputError("offer costs must be nonnegative")
-    placed, spend, l1 = np.zeros(1, dtype=int), np.zeros(1), np.zeros(1)
-    trail = []  # per column: (column, parent state, drivers it takes)
-    for cols, q in zip(demand.blocks, np.rint(demand.q).astype(int)):
-        for col in cols:
-            parent, add = np.divmod(np.arange(placed.size * (q + 1)), q + 1)
-            total = placed[parent] + add
-            # the pair's last column takes the drivers still unplaced
-            fits = (total == q) if col == cols[-1] else (total <= q)
-            fits &= spend[parent] + add * costs[col] <= budget + 1e-9
-            parent, add, total = parent[fits], add[fits], total[fits]
-            if parent.size == 0:
-                raise InfeasibleModelError("no integer offer counts meet the budget")
-            new_spend = spend[parent] + add * costs[col]
-            new_l1 = l1[parent] + np.abs(add - u_star[col])
-            # sorted by (placed, spend, L1), a state survives when its L1 rank is
-            # below every earlier one of its group; later groups get smaller
-            # key offsets, so the running minimum restarts at each group. The
-            # rank is the place in a stable sort of the sorted states by L1,
-            # so of two states at equal L1 the first ranks lower and is kept
-            order = np.lexsort((new_l1, new_spend, total))
-            rank = np.empty(order.size, dtype=int)
-            rank[np.argsort(new_l1[order], kind="stable")] = np.arange(order.size)
-            key = (q - total[order]) * (order.size + 1) + rank
-            survives = np.ones(order.size, dtype=bool)
-            np.less(key[1:], np.minimum.accumulate(key)[:-1], out=survives[1:])
-            keep = order[survives]
-            placed = np.zeros(keep.size, dtype=int) if col == cols[-1] else total[keep]
-            spend, l1 = new_spend[keep], new_l1[keep]
-            trail.append((col, parent[keep], add[keep]))
-    index = best = int(np.argmin(l1))
-    counts = np.zeros(u_star.size)
-    for col, parent, add in reversed(trail):
-        counts[col] = add[index]
-        index = parent[index]
-    return counts, float(l1[best])
 
 
 def round_assignment(u_star, demand, costs, budget):

@@ -558,8 +558,9 @@ def solve_admm_model(pipe, budget, cfg):
     """One relaxation (``run_admm`` under ``cfg``), its exact L1 rounding to
     offer counts (``round_counts``) and one exchange polish on realized
     travel time (``polish_counts``). Returns (offer counts, AdmmResult,
-    rounding L1 distance, polish moves).
+    rounding L1 distance, polish moves, wall seconds of each of the three).
     """
+    started = time.perf_counter()
     problem = AdmmProblem(
         a_matrix=pipe.a_matrix,
         d_matrix=pipe.demand.d_matrix,
@@ -572,9 +573,12 @@ def solve_admm_model(pipe, budget, cfg):
         background=pipe.background,
     )
     result = run_admm(problem, cfg)
+    relaxed = time.perf_counter()
     counts, rounding_l1 = round_counts(result.u, pipe.demand, pipe.costs, budget)
+    rounded = time.perf_counter()
     counts, moves = polish_counts(counts, problem)
-    return counts, result, rounding_l1, moves
+    seconds = {"relax": relaxed - started, "round": rounded - relaxed, "polish": time.perf_counter() - rounded}
+    return counts, result, rounding_l1, moves, seconds
 
 
 def run_experiment(
@@ -608,15 +612,20 @@ def run_experiment(
         cfg = AdmmConfig(rho=rho, lambda_reg=lambda_reg, max_iters=max_iters, residual_tol=tol)
     pen = scenario.penetration_rate if penetration is None else penetration
     pipe = prepare(scenario, penetration=pen, seed=run_seed)
+    prepared = time.perf_counter()
     zero_counts = pipe.demand.zero_counts(pipe.costs)
     baseline_tt = realized_travel_time(pipe, zero_counts)
 
-    extra, trace = {}, None
+    # wall seconds per stage; report.json carries them, the CSV never does
+    stages = {"prepare": prepared - started}
+    extra, trace = {"stage_seconds": stages}, None
+    solving = time.perf_counter()
     if pipe.demand.num_drivers == 0:
         counts = zero_counts
         extra["note"] = "no eligible drivers; baseline assignment"
     elif model == "linear":
         report1, alpha_used, retries = solve_linear(pipe, budget, alpha, rel_gap, alpha_retry)
+        stages["mip"] = time.perf_counter() - solving
         counts = report1.counts
         extra.update(
             {
@@ -631,7 +640,8 @@ def run_experiment(
             }
         )
     else:
-        counts, trace, rounding_l1, moves = solve_admm_model(pipe, budget, cfg)
+        counts, trace, rounding_l1, moves, seconds = solve_admm_model(pipe, budget, cfg)
+        stages.update(seconds)
         extra.update(
             {
                 "iterations": trace.iterations,
@@ -645,12 +655,16 @@ def run_experiment(
             }
         )
 
+    evaluating = time.perf_counter()
     achieved_tt = realized_travel_time(pipe, counts)
     cost_used = float(pipe.costs @ counts)
     rewarded = int(round(counts[pipe.costs > 0].sum()))
     total = len(pipe.driver_ods)
     dist = amount_tally(scenario.menu, counts)
     dist[0.0] += total - pipe.demand.num_drivers  # everyone else holds the $0 offer
+    finished = time.perf_counter()
+    # the baseline's evaluation comes before the solve, the achieved one after
+    stages["evaluate"] = solving - prepared + finished - evaluating
     report = ExperimentReport(
         model=model,
         budget=budget,
@@ -664,7 +678,7 @@ def run_experiment(
         incentive_distribution=dist,
         penetration_rate=pen,
         seed=run_seed,
-        wall_time_s=time.perf_counter() - started,
+        wall_time_s=finished - started,
         extra=extra,
     )
     return ExperimentOutcome(report=report, counts=counts, pipeline=pipe, admm_result=trace)

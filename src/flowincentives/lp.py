@@ -132,7 +132,9 @@ class _Form:
         self.b = np.concatenate([lp.b_ub, lp.b_eq])
         self.c = np.concatenate([lp.c, np.zeros(m)])
         self.logical_ub = np.concatenate([np.full(lp.b_ub.size, np.inf), np.zeros(lp.b_eq.size)])
-        self.feas_tol = _FEAS_TOL * max(1.0, float(np.max(np.abs(self.b), initial=0.0)))
+        # per column: structurals 1e-9, row i's logical 1e-9 * max(1, |b_i|),
+        # so a large right-hand side loosens only its own row
+        self.feas_tol = _FEAS_TOL * np.concatenate([np.ones(self.n), np.maximum(1.0, np.abs(self.b))])
 
     def bounds(self, lb, ub):
         """Full-length (lower, upper) bounds for structural bounds lb, ub."""
@@ -259,7 +261,7 @@ def _dual_simplex(tab):
         lo_b, hi_b = tab.lo[tab.basis], tab.hi[tab.basis]
         above = tab.beta - hi_b
         excess = np.maximum(lo_b - tab.beta, above)
-        bad = (excess > tab.form.feas_tol).nonzero()[0]
+        bad = (excess > tab.form.feas_tol[tab.basis]).nonzero()[0]
         if bad.size == 0:
             return "optimal", pivots
         r = bad[np.argmin(tab.basis[bad])]
@@ -301,7 +303,7 @@ def solve_lp(lp):
     tab.price(np.concatenate([np.zeros(n_cols), np.ones(m)]))
     _, pivots = _primal_simplex(tab)
     artificial_rows = (tab.basis >= n_cols).nonzero()[0]
-    if tab.beta[artificial_rows].sum() > form.feas_tol:
+    if tab.beta[artificial_rows].sum() > form.feas_tol.max():
         return LpResult(status="infeasible", pivots=pivots)
     # pivot the artificials left at zero out of the basis; [A I] has full
     # row rank, so each row has a nonzero entry off the artificials

@@ -24,6 +24,12 @@ its own. ``compressed_gamma_solve`` keeps the plain Newton as it ran on
 the compressed rows with phi(0) < 0 alone, scattering its roots back: the
 package's every-row prox must equal it to the bit.
 
+``round_counts`` keeps the column-at-a-time multiple-choice knapsack DP
+the package's pair-space rounding must equal bit for bit, counts and L1:
+one Python step per offer column, each extending every state by 0..q_k
+drivers and keeping the (spend, L1) Pareto frontier of each
+drivers-placed group.
+
 ``polish_counts`` keeps the dense 1-exchange polish the package's
 row-local one must match move for move: it scores every move over every
 row, with a rows x moves step matrix, and takes the move pairs from the
@@ -32,12 +38,15 @@ n_cols x n_cols same-pair mask.
 Kept separate from the package so it shares no code with what it checks;
 ``sweep`` takes the package's problem and state objects and the u-update
 inverse, nothing else, ``masked_sweep`` the package's problem and the
-u-update inverse, and ``polish_counts`` the package's problem.
+u-update inverse, ``round_counts`` a demand with ``blocks`` and ``q``, and
+``polish_counts`` the package's problem.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
+
+from flowincentives.errors import InfeasibleModelError, InputError
 
 
 def gamma_solve(m, lam, rho, t0, w, tol=1e-10):
@@ -286,3 +295,58 @@ def polish_counts(counts, problem):
         u[src[move]] -= 1.0
         u[dst[move]] += 1.0
         moves += 1
+
+
+def round_counts(u_star, demand, costs, budget):
+    """Integer offer counts nearest to ``u_star`` in L1, exactly.
+
+    Minimizes sum |u - u*| over nonnegative integer u with per-OD totals
+    D u = q and costs @ u <= budget (1e-9 slack), with u* clipped at 0.
+    A DP adds one column at a time, OD pair by OD pair, each taking 0..q_k
+    drivers; a state is (drivers placed in the current pair, spend, L1), and
+    only the (spend, L1) Pareto frontier of each drivers-placed group is
+    kept, exact ties keeping the first state. Pairs couple only through the
+    budget, so this is the exact multiple-choice knapsack DP of Kellerer,
+    Pferschy & Pisinger, *Knapsack Problems* (2004), ch. 11, for any
+    nonnegative costs. Returns (counts, L1 distance); among count vectors at
+    the least distance the one with the least spend wins.
+    """
+    u_star = np.clip(np.asarray(u_star, dtype=float), 0.0, None)
+    costs = np.asarray(costs, dtype=float)
+    if np.any(costs < 0):
+        raise InputError("offer costs must be nonnegative")
+    placed, spend, l1 = np.zeros(1, dtype=int), np.zeros(1), np.zeros(1)
+    trail = []  # per column: (column, parent state, drivers it takes)
+    for cols, q in zip(demand.blocks, np.rint(demand.q).astype(int)):
+        for col in cols:
+            parent, add = np.divmod(np.arange(placed.size * (q + 1)), q + 1)
+            total = placed[parent] + add
+            # the pair's last column takes the drivers still unplaced
+            fits = (total == q) if col == cols[-1] else (total <= q)
+            fits &= spend[parent] + add * costs[col] <= budget + 1e-9
+            parent, add, total = parent[fits], add[fits], total[fits]
+            if parent.size == 0:
+                raise InfeasibleModelError("no integer offer counts meet the budget")
+            new_spend = spend[parent] + add * costs[col]
+            new_l1 = l1[parent] + np.abs(add - u_star[col])
+            # sorted by (placed, spend, L1), a state survives when its L1 rank is
+            # below every earlier one of its group; later groups get smaller
+            # key offsets, so the running minimum restarts at each group. The
+            # rank is the place in a stable sort of the sorted states by L1,
+            # so of two states at equal L1 the first ranks lower and is kept
+            order = np.lexsort((new_l1, new_spend, total))
+            rank = np.empty(order.size, dtype=int)
+            rank[np.argsort(new_l1[order], kind="stable")] = np.arange(order.size)
+            key = (q - total[order]) * (order.size + 1) + rank
+            survives = np.ones(order.size, dtype=bool)
+            np.less(key[1:], np.minimum.accumulate(key)[:-1], out=survives[1:])
+            keep = order[survives]
+            placed = np.zeros(keep.size, dtype=int) if col == cols[-1] else total[keep]
+            spend, l1 = new_spend[keep], new_l1[keep]
+            trail.append((col, parent[keep], add[keep]))
+    index = best = int(np.argmin(l1))
+    counts = np.zeros(u_star.size)
+    for col, parent, add in reversed(trail):
+        counts[col] = add[index]
+        index = parent[index]
+    return counts, float(l1[best])

@@ -31,7 +31,7 @@ from flowincentives.admm import (
 )
 import admm_reference
 from conftest import per_driver_incidence, scipy_milp_cases
-from flowincentives.errors import DivergenceError, InputError
+from flowincentives.errors import DivergenceError, InfeasibleModelError, InputError
 from flowincentives.harness import generate_synthetic, prepare, realized_travel_time
 from flowincentives.kernels import bpr_terms, gamma_solve
 from flowincentives.network import Link, RoadNetwork
@@ -1318,6 +1318,114 @@ def test_polish_reaches_a_one_exchange_local_optimum():
                 after = realized_travel_time(pipe, moved)
                 assert polished - after <= 1e-12, (i, j)
     assert total_moves > 0
+
+
+def _demand(blocks, q):
+    return SimpleNamespace(blocks=[np.asarray(cols) for cols in blocks], q=np.asarray(q, dtype=float))
+
+
+def assert_rounds_as_frozen_dp(u_star, demand, costs, budget):
+    """The pair-space rounding against the frozen column DP, bit for bit on
+    the counts and the L1 distance."""
+    want_counts, want_l1 = admm_reference.round_counts(u_star, demand, costs, budget)
+    got_counts, got_l1 = round_counts(u_star, demand, costs, budget)
+    assert np.array_equal(got_counts, want_counts)
+    assert got_l1 == want_l1
+
+
+@pytest.mark.parametrize("nodes, drivers", [(8, 6), (8, 24), (40, 100), (160, 480), (800, 2400)])
+def test_round_counts_matches_frozen_dp_on_relaxed_u(nodes, drivers):
+    # the relaxed u of the README generator, each relaxed and rounded at its
+    # own budget: 0 and 100 bind at 2,400 drivers, and every scale holds
+    # near-ties (fractional parts 1e-14 to 1e-11 apart) that the DP's float
+    # sums decide
+    pipe = prepare(generate_synthetic(nodes=nodes, richness=2, tightness=1.3, drivers=drivers, seed=7))
+    for budget in (0.0, 100.0, 1000.0):
+        u = run_admm(replace(pipeline_problem(pipe), budget=budget)).u
+        assert_rounds_as_frozen_dp(u, pipe.demand, pipe.costs, budget)
+
+
+def random_rounding_case(rng, menu):
+    """A Dirichlet u* over 1 to 6 pairs of 1 to 3 routes each, with exact
+    ties: duplicate $0 columns, columns at 0, two pairs with the same u*,
+    pairs with no drivers and relaxed mass off q; and a budget that binds,
+    is 0 or is slack."""
+    blocks, costs, parts, q = [], [], [], []
+    for k in range(rng.integers(1, 7)):
+        routes, drivers = int(rng.integers(1, 4)), int(rng.integers(0, 7))
+        size = routes * menu.size
+        x = rng.dirichlet(np.full(size, rng.choice([0.3, 1.0, 3.0]))) * drivers
+        if routes > 1 and rng.random() < 0.4:
+            x[menu.size] = x[0]
+        if rng.random() < 0.3:
+            x[rng.integers(0, size, size=2)] = 0.0
+        if rng.random() < 0.2:
+            x *= rng.uniform(0.9, 1.1)
+        if k and blocks[-1].size == size and q[-1] == drivers and rng.random() < 0.5:
+            x = parts[-1].copy()
+        start = sum(b.size for b in blocks)
+        blocks.append(np.arange(start, start + size))
+        costs.append(np.tile(menu, routes))
+        parts.append(x)
+        q.append(drivers)
+    costs = np.concatenate(costs)
+    budget = float(rng.choice([0.0, rng.uniform(0.0, 20.0), float(rng.integers(0, 30)), 1e6]))
+    return np.concatenate(parts), _demand(blocks, q), costs, budget
+
+
+@pytest.mark.parametrize("menu", [(0.0, 2.0, 10.0), (0.0, 0.37, 2.9, 11.3)])
+def test_round_counts_matches_frozen_dp_on_random_cases(menu):
+    rng = np.random.default_rng(23)
+    binding = 0
+    for _ in range(48):
+        u_star, demand, costs, budget = random_rounding_case(rng, np.array(menu))
+        try:
+            free, _ = admm_reference.round_counts(u_star, demand, costs, 1e12)
+            assert_rounds_as_frozen_dp(u_star, demand, costs, budget)
+        except InfeasibleModelError:
+            with pytest.raises(InfeasibleModelError):
+                round_counts(u_star, demand, costs, budget)
+            continue
+        binding += float(costs @ free) > budget + 1e-9
+    assert binding >= 8
+
+
+def test_round_counts_matches_frozen_dp_on_two_pairs_of_100():
+    # two pairs of 100 drivers over 12 columns each, four $0 columns of each
+    # pair holding the same relaxed mass
+    pipe = prepare(generate_synthetic(nodes=12, richness=4, drivers=200, seed=1))
+    assert list(pipe.demand.q) == [100.0, 100.0]
+    u = run_admm(replace(pipeline_problem(pipe), budget=500.0)).u
+    assert_rounds_as_frozen_dp(u, pipe.demand, pipe.costs, 500.0)
+
+
+def test_round_counts_sends_a_tied_unit_to_the_later_column():
+    # three $0 columns: u* = (1, 0, 0) with 2 drivers leaves one unit whose
+    # three places tie exactly, and the column DP's first state puts it on
+    # the last column; with u* = 0 both units go there
+    demand = _demand([np.arange(3)], [2])
+    for u_star, want in (([1.0, 0.0, 0.0], [1.0, 0.0, 1.0]), ([0.0, 0.0, 0.0], [0.0, 0.0, 2.0])):
+        for rounding in (round_counts, admm_reference.round_counts):
+            counts, _ = rounding(np.array(u_star), demand, np.zeros(3), 0.0)
+            assert counts.tolist() == want
+
+
+def test_round_counts_breaks_float_ties_as_the_column_dp():
+    # 4 drivers on the two $0 columns at budget 0: the splits 1+3, 2+2 and
+    # 3+1 sum to the same float L1, and the column DP keeps 2+2 by its
+    # partial sums, not by the order the options come in
+    u_star = np.array([
+        0.6195099115898541, 1.1354826060490462, 0.043919744103758346, 0.11292073379122963,
+        0.8380895299997572, 1.1354193162998985, 0.05868678686049617, 0.3639197038394243,
+    ])
+    demand, costs = _demand([np.arange(8)], [4]), np.tile([0.0, 0.37, 2.9, 11.3], 2)
+    for split in ([1.0, 3.0], [2.0, 2.0], [3.0, 1.0]):
+        counts = np.zeros(8)
+        counts[[0, 4]] = split
+        assert np.cumsum(np.abs(counts - u_star))[-1] == 5.392749449354242
+    counts, l1 = round_counts(u_star, demand, costs, 0.0)
+    assert counts[[0, 4]].tolist() == [2.0, 2.0] and l1 == 5.392749449354242
+    assert_rounds_as_frozen_dp(u_star, demand, costs, 0.0)
 
 
 def _random_rounded_counts(rng, p):

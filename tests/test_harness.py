@@ -13,6 +13,7 @@ from flowincentives.choice import ChoiceCoefficients, IncentiveMenu, build_choic
 from flowincentives.errors import InputError, OracleSizeError
 from flowincentives.flow import build_location_matrix
 from flowincentives.harness import (
+    CSV_COLUMNS,
     DEFAULT_MENU_AMOUNTS,
     Scenario,
     appendix_c_scenario,
@@ -166,6 +167,39 @@ def test_report_invariants():
     assert r.value_of_saved_time == pytest.approx(
         (r.baseline_tt_hours - r.achieved_tt_hours) * scenario.vot
     )
+
+
+@pytest.mark.parametrize(
+    "model, stages",
+    [("admm", ["prepare", "relax", "round", "polish", "evaluate"]), ("linear", ["prepare", "mip", "evaluate"])],
+)
+def test_stage_seconds_add_up_to_the_wall_time(model, stages, tmp_path):
+    # report.json splits the run's wall time into its stages; the CSV row
+    # carries no timing, so reruns stay byte-identical
+    outcome = run_experiment(
+        generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=24, seed=7), model, 100.0
+    )
+    seconds = outcome.report.extra["stage_seconds"]
+    assert list(seconds) == stages
+    assert min(seconds.values()) >= 0.0
+    assert sum(seconds.values()) == pytest.approx(outcome.report.wall_time_s, rel=0.1)
+    path = tmp_path / "report.json"
+    write_report_json(outcome.report, path)
+    assert json.loads(path.read_text())["extra"]["stage_seconds"] == seconds
+    assert "stage_seconds" not in CSV_COLUMNS and "wall_time_s" not in CSV_COLUMNS
+
+
+def test_linear_model_solves_with_large_incentive_amounts():
+    # a $1e10 offer and budget once set the feasibility tolerance of every
+    # simplex row to 10, and the search ran to its node limit; each row now
+    # has its own, so the run ends optimal at the root as it does at $1e8
+    achieved = []
+    for amount in (1e8, 1e10):
+        scenario = generate_synthetic(nodes=4, drivers=4, seed=0, menu_amounts=(0.0, amount))
+        report = run_experiment(scenario, "linear", amount).report
+        assert report.extra["mip_status"] == "optimal"
+        achieved.append(report.achieved_tt_hours)
+    assert achieved[0] == achieved[1]
 
 
 def test_later_entrants_fixed_as_background():

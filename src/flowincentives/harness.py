@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .admm import AdmmConfig, AdmmProblem, polish_counts, round_counts, run_admm
+from .admm import AdmmConfig, AdmmProblem, polish_counts, run_admm
 from .choice import ChoiceCoefficients, IncentiveMenu, amount_tally, build_choice_matrix
 from .errors import InfeasibleModelError, InputError, OracleSizeError
 from .flow import (
@@ -41,6 +41,7 @@ from .network import (
     network_from_json,
     network_to_json,
 )
+from .rounding import round_counts
 from .scenario1 import Scenario1Config, build_scenario1, solve_scenario1
 
 ORACLE_LIMIT = 10_000_000
@@ -105,11 +106,7 @@ def scenario_to_json(scenario):
     obj = {
         "name": scenario.name,
         "network": network_to_json(
-            scenario.net,
-            [
-                (o, d, sum(c for k, t, c in scenario.demand if k == i and t == 1))
-                for i, (o, d) in enumerate(scenario.od_pairs)
-            ],
+            scenario.net, [(o, d, int(n)) for (o, d), n in zip(scenario.od_pairs, _entrance_counts(scenario)[0])]
         ),
         "horizon": scenario.horizon,
         "unit_length_hours": scenario.unit_length_hours,
@@ -299,44 +296,44 @@ def generate_synthetic(
     )
 
 
-def _no_incentive_volume(scenario, routes, probabilities, demand, held, location=None):
-    """Expected volume of drivers held at the $0 offer, plus the scenario's
-    fixed background: one matvec per entrance on the per-OD $0 counts that
-    the (od_index, entrance, count) entries of ``held`` add up to, placed by
-    ``demand``'s D. ``location`` is R at entrance 1 when the caller has it."""
-    net = scenario.net
-    per_entrance = {}
-    for od_index, entrance, count in held:
-        per_entrance.setdefault(entrance, np.zeros(len(scenario.od_pairs)))[od_index] += count
-    volume = np.zeros(net.num_links * scenario.horizon)
+def _entrance_counts(scenario):
+    """Drivers per (entrance, OD pair): a horizon x K table, row e - 1 for unit e."""
+    counts = np.zeros((scenario.horizon, len(scenario.od_pairs)), dtype=int)
+    for od_index, entrance, count in scenario.demand:
+        counts[entrance - 1, od_index] += count
+    return counts
+
+
+def _no_incentive_volume(scenario, location, probabilities, demand, counts):
+    """Expected volume of the drivers ``counts`` holds at the $0 offer, plus the
+    scenario's background. Row e - 1 of ``counts`` (per OD pair, placed by
+    ``demand``'s D) loads R at entrance 1 shifted (e - 1) * E rows down, rows
+    past the horizon dropped."""
+    rows = location.matrix.shape[0]
+    volume = np.zeros(rows)
     if scenario.background_volume is not None:
-        volume = volume + scenario.background_volume
-    for entrance, q in sorted(per_entrance.items()):
-        if not q.any():
-            continue
-        loc = location
-        if entrance != 1 or loc is None:
-            loc = build_location_matrix(
-                net, routes, scenario.horizon, scenario.unit_length_hours, entrance_time=entrance
-            )
-        volume = volume + loc.matrix @ (probabilities.matrix @ demand.zero_counts(probabilities.costs, q))
+        volume += scenario.background_volume
+    for shift, q in zip(range(0, rows, location.num_links), counts):
+        if q.any():
+            load = location.matrix @ (probabilities.matrix @ demand.zero_counts(probabilities.costs, q))
+            volume[shift:] += load[: rows - shift]
     return volume
 
 
-def congested_route_estimates(scenario, routes):
+def congested_route_estimates(scenario, routes, location):
     """Route travel-time estimates under the no-incentive traffic pattern.
 
     One pass, no equilibrium loop: put every driver on the no-incentive
-    distribution at free-flow times, convert the resulting per-(time, link)
-    volumes to congested link times, average each link over the horizon, and
-    sum along routes. Off by default; the estimates drivers see are
-    free-flow unless the scenario opts in.
+    distribution at free-flow times, load R (``location``, entrance 1), turn
+    the (time, link) volumes into congested link times, average each link
+    over the horizon, and sum along routes. Off by default; the estimates
+    drivers see are free-flow unless the scenario opts in.
     """
     net = scenario.net
     tt_free = np.array([r.free_flow_time for r in routes.routes])
     probabilities = build_choice_matrix(routes, scenario.menu, tt_free, scenario.coeffs)
     pairs = build_demand_model(routes, scenario.menu, ())  # D alone, no drivers
-    volume = _no_incentive_volume(scenario, routes, probabilities, pairs, scenario.demand)
+    volume = _no_incentive_volume(scenario, location, probabilities, pairs, _entrance_counts(scenario))
     volume = volume.reshape(scenario.horizon, net.num_links)
     link_time = bpr_travel_time(net.free_flow_times, net.capacity_vector, volume)
     mean_link_time = link_time.mean(axis=0)
@@ -373,7 +370,6 @@ class Pipeline:
     columns: list
     costs: np.ndarray
     eligible_ids: list
-    driver_ods: list  # (od_index, entrance) per driver id
     background: np.ndarray
     t0_row: np.ndarray
     w_row: np.ndarray
@@ -387,27 +383,20 @@ def prepare(scenario, penetration=None, seed=None):
     _check_seed(seed)
     net = scenario.net
     routes = enumerate_routes(net, scenario.od_pairs)
+    location = build_location_matrix(net, routes, scenario.horizon, scenario.unit_length_hours)
     tt_hat = np.array([r.free_flow_time for r in routes.routes])
     if scenario.congested_estimates:
-        tt_hat = congested_route_estimates(scenario, routes)
+        tt_hat = congested_route_estimates(scenario, routes, location)
     probabilities = build_choice_matrix(routes, scenario.menu, tt_hat, scenario.coeffs)
-    location = build_location_matrix(
-        net, routes, scenario.horizon, scenario.unit_length_hours, entrance_time=1
-    )
     a_matrix = compose_a(location, probabilities)
 
-    driver_ods = []
-    for od_index, entrance, count in scenario.demand:  # first-interval drivers first
-        driver_ods.extend([(od_index, entrance)] * count)
-    n_first = sum(count for _, entrance, count in scenario.demand if entrance == 1)
-    eligible = select_cohort(range(n_first), pen, seed)
-    driver_od = np.array(driver_ods, dtype=int).reshape(-1, 2)[:, 0]
+    counts = _entrance_counts(scenario)
+    # first-interval driver ids run through the OD pairs in index order
+    eligible = select_cohort(range(counts[0].sum()), pen, seed)
+    driver_od = np.repeat(np.arange(counts.shape[1]), counts[0])
     demand = build_demand_model(routes, scenario.menu, driver_od[eligible])
-
-    # the cohort's drivers come off their pairs' first-interval counts
-    held = scenario.demand + [(k, 1, -n) for k, n in enumerate(demand.q)]
-    background = _no_incentive_volume(scenario, routes, probabilities, demand, held, location)
-    blocks = demand.blocks
+    counts[0] -= demand.q.astype(int)  # the cohort's drivers are not held
+    background = _no_incentive_volume(scenario, location, probabilities, demand, counts)
     t0_row = np.tile(net.free_flow_times, scenario.horizon)
     return Pipeline(
         scenario=scenario,
@@ -416,10 +405,9 @@ def prepare(scenario, penetration=None, seed=None):
         location=location,
         a_matrix=a_matrix,
         demand=demand,
-        columns=[blocks[k] for k in demand.driver_to_od],
+        columns=[demand.blocks[k] for k in demand.driver_to_od],
         costs=probabilities.costs,
         eligible_ids=eligible,
-        driver_ods=driver_ods,
         background=background,
         t0_row=t0_row,
         w_row=np.tile(net.capacity_vector, scenario.horizon),
@@ -659,7 +647,7 @@ def run_experiment(
     achieved_tt = realized_travel_time(pipe, counts)
     cost_used = float(pipe.costs @ counts)
     rewarded = int(round(counts[pipe.costs > 0].sum()))
-    total = len(pipe.driver_ods)
+    total = scenario.total_drivers
     dist = amount_tally(scenario.menu, counts)
     dist[0.0] += total - pipe.demand.num_drivers  # everyone else holds the $0 offer
     finished = time.perf_counter()
@@ -712,14 +700,14 @@ def brute_force_oracle(
     ``objective`` selects what is minimized: realized total travel time
     ("bpr", no capacity rows, matching the congestion-aware model) or
     expected free-flow time with optional alpha-scaled capacity rows
-    ("free_flow", matching the linear model). Drivers of one OD pair are
-    interchangeable, so the search runs over offer counts: every
-    composition of each pair's drivers over its columns, in the order
-    ``kernels.enumerate_assignments`` documents, and the winning counts are
-    returned (``OracleResult.assignment`` deals them to drivers). Ties return
-    the lexicographically smallest per-driver choice vector, and
-    ``feasible_count`` still counts per-driver assignments. Refuses
-    instances with more than ``limit`` count vectors.
+    ("free_flow", matching the linear model, the only objective that takes
+    ``alpha``). Drivers of one OD pair are interchangeable, so the search
+    runs over offer counts: every composition of each pair's drivers over
+    its columns, in the order ``kernels.enumerate_assignments`` documents,
+    and the winning counts are returned (``OracleResult.assignment`` deals
+    them to drivers). Ties return the lexicographically smallest per-driver
+    choice vector, and ``feasible_count`` still counts per-driver
+    assignments. Refuses instances with more than ``limit`` count vectors.
     """
     if objective not in ("bpr", "free_flow"):
         raise InputError(f"unknown objective {objective!r}; expected 'bpr' or 'free_flow'")
@@ -727,6 +715,8 @@ def brute_force_oracle(
         raise InputError("budget must be nonnegative and finite")
     if not math.isfinite(limit):
         raise InputError("limit must be finite")
+    if alpha is not None and objective != "free_flow":
+        raise InputError(f"alpha caps the free_flow objective's capacity rows; objective is {objective!r}")
     if pipe is None:
         pipe = prepare(scenario, penetration=penetration, seed=seed)
     q = pipe.demand.q
@@ -734,9 +724,6 @@ def brute_force_oracle(
     total = math.prod(math.comb(int(q_k + m_k) - 1, int(m_k) - 1) for q_k, m_k in zip(q, widths))
     if total > limit:
         raise OracleSizeError(total, limit)
-    capacity = None
-    if objective == "free_flow" and alpha is not None:
-        capacity = alpha * pipe.w_row
     best_obj, best_u, count = kernels.enumerate_assignments(
         pipe.a_matrix,
         pipe.background,
@@ -748,7 +735,7 @@ def brute_force_oracle(
         pipe.t0_row,
         pipe.w_row,
         objective=objective,
-        capacity=capacity,
+        capacity=None if alpha is None else alpha * pipe.w_row,
     )
     if count == 0:
         raise InfeasibleModelError("no feasible assignment under the given constraints")

@@ -25,8 +25,8 @@ reuses its parent's tableau, and the deferred sibling keeps only its basis
 when it is popped. A node is dropped once its bound cannot beat the
 incumbent by more than the requested relative gap. It serves the
 free-flow MILP of scenario 1 only, which chooses per-column offer counts,
-not per-driver binaries; the admm model's rounding is a DP in
-``admm.round_counts``.
+not per-driver binaries; the admm model's rounding is
+``rounding.round_counts``.
 """
 
 from __future__ import annotations

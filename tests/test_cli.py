@@ -124,6 +124,41 @@ def test_usage_error_exit_code(tmp_path, capsys, argv, word):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("verb", ["solve", "sweep"])
+@pytest.mark.parametrize(
+    "model, flags, word",
+    [
+        ("linear", ["--rho", "nan", "--tol", "inf", "--max-iters", "0"], "--rho, --max-iters, --tol"),
+        ("linear", ["--lambda-reg", "0.1"], "--lambda-reg"),
+        ("admm", ["--alpha", "0", "--rel-gap", "5", "--no-alpha-retry"], "--alpha, --rel-gap, --no-alpha-retry"),
+    ],
+    ids=["linear --rho --tol --max-iters", "linear --lambda-reg", "admm --alpha --rel-gap --no-alpha-retry"],
+)
+def test_flag_the_model_never_reads_is_a_usage_error(tmp_path, capsys, verb, model, flags, word):
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--preset", "appendix-c", "--out", str(scenario)])
+    capsys.readouterr()
+    grid = ["--budget", "5"] if verb == "solve" else ["--budgets", "0,5"]
+    out_dir = tmp_path / "x"
+    assert main([verb, str(scenario), "--model", model, *grid, *flags, "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: --model {model} reads no {word}"]
+    assert captured.out == "" and not out_dir.exists()
+
+
+def test_oracle_alpha_needs_the_free_flow_objective(tmp_path, capsys):
+    # alpha caps only the free-flow objective's capacity rows; with bpr it
+    # would be dropped, and the optimum printed without the cap
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--preset", "appendix-c", "--out", str(scenario)])
+    capsys.readouterr()
+    assert main(["oracle", str(scenario), "--budget", "1", "--alpha", "0.001"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: alpha caps the free_flow objective"), err
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["solve", "--help"])
@@ -142,11 +177,27 @@ def test_oracle_verb(tmp_path, capsys):
     assert data["feasible_assignments"] == 12
 
 
+def _readme_cli_block():
+    """The ``flowincentives`` command lines of the README's bash block under
+    "## CLI": continuation lines joined, comments dropped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("flowincentives ")]
+
+
 def _readme_command(prefix):
     """The README's CLI line that starts with ``prefix``, as argv."""
-    text = (Path(__file__).parents[1] / "README.md").read_text().replace("\\\n", " ")
-    line = next(line for line in text.splitlines() if line.strip().startswith(prefix))
-    return shlex.split(line)[1:]
+    return shlex.split(next(line for line in _readme_cli_block() if line.startswith(prefix)))[1:]
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    # every command of the README's CLI block, in order, from the checkout
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line)[1:] for line in _readme_cli_block()]
+    assert [argv[0] for argv in commands] == ["generate", "generate", "solve", "solve", "sweep", "oracle", "report"]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert (tmp_path / "sweep" / "report.csv").read_text().count("\n") == 10
 
 
 def test_readme_oracle_example(tmp_path, capsys, monkeypatch):

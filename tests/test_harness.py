@@ -227,13 +227,18 @@ def _no_incentive_load(scenario, routes, probabilities, entrance, od_index, cach
     return cache[entrance].matrix @ col
 
 
+def _driver_ods(scenario):
+    """(od_index, entrance) per driver id, in the sorted demand's order."""
+    return [(od_index, entrance) for od_index, entrance, count in scenario.demand for _ in range(count)]
+
+
 def _per_driver_background(pipe):
     scenario = pipe.scenario
     background = np.zeros(pipe.a_matrix.shape[0])
     if scenario.background_volume is not None:
         background = background + scenario.background_volume
     eligible, cache = set(pipe.eligible_ids), {}
-    for n, (od_index, entrance) in enumerate(pipe.driver_ods):
+    for n, (od_index, entrance) in enumerate(_driver_ods(scenario)):
         if n not in eligible:
             background = background + _no_incentive_load(
                 scenario, pipe.routes, pipe.probabilities, entrance, od_index, cache
@@ -283,14 +288,14 @@ def test_background_matches_per_driver_sum(penetration, later, extra_volume, con
         demand=scenario.demand + scenario.demand if repeat_entries else scenario.demand,
     )
     pipe = prepare(scenario, penetration=penetration, seed=3)
-    first = [n for n, (_, entrance) in enumerate(pipe.driver_ods) if entrance == 1]
+    first = [n for n, (_, entrance) in enumerate(_driver_ods(scenario)) if entrance == 1]
     assert pipe.eligible_ids == select_cohort(first, penetration, 3)
     reference = _per_driver_background(pipe)
     assert np.any(reference > 0)
     np.testing.assert_allclose(pipe.background, reference, rtol=1e-12, atol=1e-12 * reference.max())
     if congested:
         np.testing.assert_allclose(
-            congested_route_estimates(scenario, pipe.routes),
+            congested_route_estimates(scenario, pipe.routes, pipe.location),
             _per_entry_congested_estimates(scenario, pipe.routes),
             rtol=1e-12,
         )
@@ -298,6 +303,32 @@ def test_background_matches_per_driver_sum(penetration, later, extra_volume, con
     for n, od_index in enumerate(pipe.demand.driver_to_od):
         expected[offer_column(scenario.menu, pipe.routes.route_of_od[od_index][0], 0), n] = 1.0
     assert np.array_equal(zero_assignment(pipe), expected)
+
+
+def test_later_entrants_report_rows_pinned_through_a_saved_scenario(tmp_path):
+    # entrants at units 1, 2 and the last, a background volume and congested
+    # estimates, read back from JSON: both rows are the ones the per-entrance
+    # location matrices gave
+    scenario = generate_synthetic(
+        nodes=12, richness=3, tightness=1.3, drivers=30, seed=5, later_fraction=0.3, horizon=4
+    )
+    scenario = dataclasses.replace(
+        scenario,
+        demand=scenario.demand + [(k, 4, k + 1) for k in range(len(scenario.od_pairs))],
+        background_volume=np.linspace(0.0, 2.0, scenario.net.num_links * scenario.horizon),
+        congested_estimates=True,
+        penetration_rate=0.5,
+    )
+    save_scenario(scenario, tmp_path / "scenario.json")
+    loaded = load_scenario(tmp_path / "scenario.json")
+    assert loaded.demand == scenario.demand and loaded.congested_estimates
+    rows = [report_csv_row(run_experiment(loaded, model, 20.0).report) for model in ("admm", "linear")]
+    # read back exactly, and never written into by the runs
+    assert np.array_equal(loaded.background_volume, scenario.background_volume)
+    assert rows == [
+        "admm,20,0.5,5,20,16.66666667,3.333333333,13.53773206,13.44495294,0.6853372008,14.64054418,0:30;2:5;10:1",
+        "linear,20,0.5,5,20,27.77777778,2,13.53773206,13.74472394,-1.528999722,-32.66331954,0:26;2:10;10:0",
+    ]
 
 
 def test_congested_estimates_on_a_three_link_route():
@@ -323,7 +354,8 @@ def test_congested_estimates_on_a_three_link_route():
     )
     routes = enumerate_routes(net, scenario.od_pairs)
     assert [route.links for route in routes.routes] == [(0, 1, 2), (3,)]
-    estimates = congested_route_estimates(scenario, routes)
+    location = build_location_matrix(net, routes, scenario.horizon, scenario.unit_length_hours)
+    estimates = congested_route_estimates(scenario, routes, location)
     np.testing.assert_allclose(estimates, _per_entry_congested_estimates(scenario, routes), rtol=1e-12)
     assert np.all(estimates > [route.free_flow_time for route in routes.routes])
     offers = build_choice_matrix(routes, scenario.menu, estimates, scenario.coeffs)

@@ -145,6 +145,11 @@ CASES = {
         InputError,
         "budget must be nonnegative and finite",
     ),
+    "oracle alpha with bpr": (
+        lambda: brute_force_oracle(appendix_c_scenario(), 5.0, alpha=0.001),
+        InputError,
+        "alpha caps the free_flow objective's capacity rows; objective is 'bpr'",
+    ),
     "oracle infeasible": (
         lambda: brute_force_oracle(appendix_c_scenario(), 5.0, objective="free_flow", alpha=0.001),
         InfeasibleModelError,

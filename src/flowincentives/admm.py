@@ -89,7 +89,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, InputError
-from .flow import deal_counts
+from .flow import deal_counts, entry_pairs
 from .kernels import bpr_terms, gamma_solve
 from .rounding import round_counts
 
@@ -156,7 +156,8 @@ class AdmmProblem:
     ``d_matrix`` maps columns to OD pairs, ``columns`` lists each driver's
     allowed columns (its OD pair's whole block), ``t0_row``/``w_row`` carry
     per-row BPR parameters, and ``background`` is fixed non-decision volume
-    added to A @ u. ``a_nonzeros`` and ``prox_quart`` are derived: A's
+    added to A @ u. ``pairs``, ``a_nonzeros`` and ``prox_quart`` are
+    derived: each ``columns`` entry's OD pair (``flow.entry_pairs``), A's
     nonzeros as (rows, cols, values), which the masked sweep multiplies by,
     and the volume prox's 0.75 t0 / w^4 per row.
     """
@@ -170,6 +171,7 @@ class AdmmProblem:
     w_row: np.ndarray
     columns: list
     background: np.ndarray = None
+    pairs: np.ndarray = field(init=False, repr=False, compare=False)
     a_nonzeros: tuple = field(init=False, repr=False, compare=False)
     prox_quart: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -194,7 +196,7 @@ class AdmmProblem:
         self.background = np.asarray(self.background, dtype=float)
         if self.background.shape != (rows,):
             raise InputError("background volume must have one entry per volume row")
-        _entry_pairs(self.d_matrix, self.columns)
+        self.pairs = entry_pairs(self.d_matrix, self.columns)
         nz_rows, nz_cols = np.nonzero(self.a_matrix)
         self.a_nonzeros = (nz_rows, nz_cols, self.a_matrix[nz_rows, nz_cols])
         self.prox_quart = 0.75 * self.t0_row / self.w_row**4
@@ -310,15 +312,6 @@ class AdmmResult:
     u_factor: UFactor
 
 
-def _entry_pairs(d_matrix, columns):
-    """OD pair of each ``columns`` entry, which must be that pair's whole block."""
-    blocks = {tuple(np.nonzero(row > 0)[0]): k for k, row in enumerate(d_matrix) if np.any(row > 0)}
-    pairs = [blocks.get(tuple(np.sort(np.ravel(allowed)))) for allowed in columns]
-    if None in pairs:
-        raise InputError("each columns entry must be one OD pair's whole column block")
-    return np.array(pairs, dtype=int)
-
-
 def _column_classes(d_matrix):
     """OD pair of each column, which must belong to exactly one pair.
 
@@ -348,8 +341,7 @@ def initial_state(problem, masked=False):
         s_divisor = weights + 2.0
     else:
         classes = pair_divisor = s_divisor = None
-        pairs = _entry_pairs(problem.d_matrix, problem.columns)
-        weights = problem.q[pairs] / np.bincount(pairs)[pairs]
+        weights = problem.q[problem.pairs] / np.bincount(problem.pairs)[problem.pairs]
         s_mat = np.zeros((n_cols, problem.num_drivers))
         for n, allowed in enumerate(problem.columns):
             s_mat[allowed, n] = 1.0 / len(allowed)

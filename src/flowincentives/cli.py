@@ -12,8 +12,8 @@ flags given on the command line, so every default is the library's own.
 ``sweep`` takes the grid flags ``--budgets`` and ``--penetrations`` in place
 of ``solve``'s ``--budget`` and ``--penetration``.
 
-Exit codes: 0 success, 2 infeasible model, 1 any other error, a usage error
-(a run flag the model never reads, say) included, after one ``error:`` line
+Exit codes: 0 success, 2 infeasible model, 1 any other error (a usage error,
+an input the library refuses, or a solver limit), after one ``error:`` line
 on stderr. A splitting solver run that stops at ``--max-iters`` unconverged,
 or a linear run whose search stops at its node limit with an assignment in
 hand, still exits 0, after one ``warning:`` line on stderr.
@@ -79,19 +79,6 @@ def _add_run_flags(parser):
     parser.add_argument("--out-dir", default=".")
 
 
-_UNREAD_FLAGS = {
-    "linear": {"rho": "--rho", "lambda_reg": "--lambda-reg", "max_iters": "--max-iters", "tol": "--tol"},
-    "admm": {"alpha": "--alpha", "rel_gap": "--rel-gap", "alpha_retry": "--no-alpha-retry"},
-}
-
-
-def _check_model_flags(run_args):
-    """Refuse a flag given on the command line that the chosen model never reads."""
-    unread = [flag for name, flag in _UNREAD_FLAGS[run_args["model"]].items() if name in run_args]
-    if unread:
-        raise InputError(f"--model {run_args['model']} reads no {', '.join(unread)}")
-
-
 def _warn_unconverged(report):
     """One stderr line when the splitting-solver run hit max_iters or the
     linear run's search hit its node limit."""
@@ -126,7 +113,6 @@ def cmd_generate(out, preset=None, **synthetic):
 
 
 def cmd_solve(scenario, out_dir, **run_args):
-    _check_model_flags(run_args)
     outcome = run_experiment(load_scenario(scenario), **run_args)
     os.makedirs(out_dir, exist_ok=True)
     write_report_json(outcome.report, os.path.join(out_dir, "report.json"))
@@ -144,7 +130,6 @@ def cmd_solve(scenario, out_dir, **run_args):
 
 
 def cmd_sweep(scenario, out_dir, **grid_args):
-    _check_model_flags(grid_args)
     reports = sweep(load_scenario(scenario), **grid_args)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.csv")

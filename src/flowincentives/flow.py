@@ -92,6 +92,15 @@ def build_demand_model(routes, menu, driver_to_od):
     return DemandModel(q=q, d_matrix=d_matrix, driver_to_od=tuple(int(k) for k in driver_to_od))
 
 
+def entry_pairs(d_matrix, columns):
+    """OD pair of each ``columns`` entry, which must be that pair's whole block."""
+    blocks = {tuple(np.nonzero(row > 0)[0]): k for k, row in enumerate(d_matrix) if np.any(row > 0)}
+    pairs = [blocks.get(tuple(np.sort(np.ravel(allowed)))) for allowed in columns]
+    if None in pairs:
+        raise InputError("each columns entry must be one OD pair's whole column block")
+    return np.array(pairs, dtype=int)
+
+
 def deal_counts(counts, demand):
     """Per-driver binary assignment S with column sums equal to ``counts``.
 

@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .network import (
     enumerate_routes,
     network_from_json,
     network_to_json,
+    whole_number,
 )
 from .rounding import round_counts
 from .scenario1 import Scenario1Config, build_scenario1, solve_scenario1
@@ -152,20 +153,22 @@ def scenario_from_json(obj):
                 pair = (entry["origin"], entry["destination"])
                 if pair not in od_index:
                     raise InputError(f"demand entry references unknown OD pair {pair}")
-                demand.append((od_index[pair], int(entry.get("entrance_time", 1)), int(entry["count"])))
+                entrance = whole_number(entry.get("entrance_time", 1), "entrance_time")
+                demand.append((od_index[pair], entrance, whole_number(entry["count"], "count")))
         else:
             demand = [(i, 1, n) for i, (_, _, n) in enumerate(od_rows) if n > 0]
         choice = obj.get("choice", {})
+        seed = partial(whole_number, name="seed")
         return Scenario(
             net=net,
             od_pairs=od_pairs,
             demand=demand,
-            horizon=int(obj["horizon"]),
+            horizon=whole_number(obj["horizon"], "horizon"),
             unit_length_hours=float(obj["unit_length_hours"]),
             menu=IncentiveMenu(tuple(choice.get("incentive_amounts", DEFAULT_MENU_AMOUNTS))),
             coeffs=ChoiceCoefficients(**_present(choice, theta_tt=float, theta_inc=float)),
             **_present(choice, congested_estimates=bool),
-            **_present(obj, penetration_rate=float, seed=int, background_volume=None, vot=float, name=None),
+            **_present(obj, penetration_rate=float, seed=seed, background_volume=None, vot=float, name=None),
         )
     except InputError:
         raise
@@ -510,14 +513,12 @@ def report_csv_row(report):
 _MAX_ALPHA_DOUBLINGS = 20
 
 
-def solve_linear(pipe, budget, alpha, rel_gap, alpha_retry):
-    """Build and solve the free-flow MILP, doubling alpha on infeasibility
-    at most ``_MAX_ALPHA_DOUBLINGS`` times. The returned report's ``nodes``
-    and ``pivots`` add up the searches at every alpha tried."""
+def solve_linear(pipe, cfg, alpha_retry=True):
+    """Build and solve the free-flow MILP under Scenario1Config ``cfg``,
+    doubling alpha on infeasibility at most ``_MAX_ALPHA_DOUBLINGS`` times.
+    The report's ``nodes`` and ``pivots`` add up every alpha's search."""
     retries = nodes = pivots = 0
-    current = alpha
     while True:
-        cfg = Scenario1Config(budget=budget, alpha=current, rel_gap=rel_gap)
         model = build_scenario1(
             pipe.routes,
             pipe.probabilities,
@@ -526,7 +527,6 @@ def solve_linear(pipe, budget, alpha, rel_gap, alpha_retry):
             pipe.scenario.net,
             cfg,
             background=pipe.background,
-            columns=pipe.columns,
         )
         try:
             report = solve_scenario1(model, pipe.scenario.menu, pipe.a_matrix)
@@ -535,11 +535,11 @@ def solve_linear(pipe, budget, alpha, rel_gap, alpha_retry):
                 raise
             nodes += exc.nodes
             pivots += exc.pivots
-            current *= 2.0
+            cfg = dataclasses.replace(cfg, alpha=2.0 * cfg.alpha)
             retries += 1
         else:
             report = dataclasses.replace(report, nodes=report.nodes + nodes, pivots=report.pivots + pivots)
-            return report, current, retries
+            return report, cfg.alpha, retries
 
 
 def solve_admm_model(pipe, budget, cfg):
@@ -575,29 +575,42 @@ def run_experiment(
     budget,
     penetration=None,
     seed=None,
-    alpha=Scenario1Config.alpha,
-    alpha_retry=True,
-    rel_gap=Scenario1Config.rel_gap,
-    rho=AdmmConfig.rho,
-    lambda_reg=AdmmConfig.lambda_reg,
-    max_iters=AdmmConfig.max_iters,
-    tol=AdmmConfig.residual_tol,
+    alpha=None,
+    alpha_retry=None,
+    rel_gap=None,
+    rho=None,
+    lambda_reg=None,
+    max_iters=None,
+    tol=None,
     vot=None,
 ):
-    """End-to-end run: prepare, solve, evaluate realized travel time, report."""
-    if model not in ("linear", "admm"):
+    """End-to-end run: prepare, solve, evaluate realized travel time, report.
+
+    A model setting left at None takes its default from ``Scenario1Config``,
+    ``AdmmConfig`` or ``solve_linear``; one the model never reads raises
+    InputError naming it, before any other check and before ``prepare``.
+    """
+    reads = {  # the settings each model reads; tol is AdmmConfig's residual_tol
+        "linear": dict(alpha=alpha, alpha_retry=alpha_retry, rel_gap=rel_gap),
+        "admm": dict(rho=rho, lambda_reg=lambda_reg, max_iters=max_iters, tol=tol),
+    }
+    if model not in reads:
         raise InputError(f"unknown model {model!r}; expected 'linear' or 'admm'")
+    unread = [name for other in reads if other != model for name, value in reads[other].items() if value is not None]
+    if unread:
+        raise InputError(f"model {model!r} reads no {', '.join(unread)}")
     started = time.perf_counter()
     run_seed = scenario.seed if seed is None else seed
     # checked and built before prepare, so bad settings fail even where an
-    # empty cohort would never run the model
-    Scenario1Config(budget=budget, alpha=alpha, rel_gap=rel_gap)
+    # empty cohort would never run the model; both models check the budget here
+    given = {name: value for name, value in reads[model].items() if value is not None}
+    retry = {"alpha_retry": given.pop("alpha_retry")} if "alpha_retry" in given else {}
+    cfg = Scenario1Config(budget=budget, **(given if model == "linear" else {}))
+    if model == "admm":
+        cfg = AdmmConfig(**{"residual_tol" if name == "tol" else name: value for name, value in given.items()})
     vot = scenario.vot if vot is None else vot
     if not (math.isfinite(vot) and vot > 0):
         raise InputError("value of time must be positive and finite")
-    cfg = None
-    if model == "admm":
-        cfg = AdmmConfig(rho=rho, lambda_reg=lambda_reg, max_iters=max_iters, residual_tol=tol)
     pen = scenario.penetration_rate if penetration is None else penetration
     pipe = prepare(scenario, penetration=pen, seed=run_seed)
     prepared = time.perf_counter()
@@ -612,7 +625,7 @@ def run_experiment(
         counts = zero_counts
         extra["note"] = "no eligible drivers; baseline assignment"
     elif model == "linear":
-        report1, alpha_used, retries = solve_linear(pipe, budget, alpha, rel_gap, alpha_retry)
+        report1, alpha_used, retries = solve_linear(pipe, cfg, **retry)
         stages["mip"] = time.perf_counter() - solving
         counts = report1.counts
         extra.update(
@@ -708,7 +721,11 @@ def brute_force_oracle(
     them to drivers). Ties return the lexicographically smallest per-driver
     choice vector, and ``feasible_count`` still counts per-driver
     assignments. Refuses instances with more than ``limit`` count vectors.
+    A ready ``pipe`` carries its cohort, so ``penetration`` and ``seed``
+    given with it are an error, as is ``alpha`` with the bpr objective.
     """
+    if pipe is not None and (penetration is not None or seed is not None):
+        raise InputError("a ready pipe carries its cohort; pass penetration and seed to prepare instead")
     if objective not in ("bpr", "free_flow"):
         raise InputError(f"unknown objective {objective!r}; expected 'bpr' or 'free_flow'")
     if not (math.isfinite(budget) and budget >= 0):
@@ -743,7 +760,7 @@ def brute_force_oracle(
 
 
 def sweep(scenario, model, budgets, penetrations, **kwargs):
-    """Run the model over a budget x penetration grid; deterministic order."""
+    """Run the model over a budget x penetration grid in a fixed order; ``run_experiment`` checks ``kwargs``."""
     reports = []
     for budget in budgets:
         for pen in penetrations:

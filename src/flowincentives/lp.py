@@ -31,11 +31,11 @@ not per-driver binaries; the admm model's rounding is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, SolverLimitError
 
 _PIVOT_TOL = 1e-9
 _REDUCED_COST_TOL = 1e-9
@@ -187,11 +187,7 @@ class _Tableau:
         return free
 
     def set_bounds(self, j, lo_j, hi_j):
-        """New bounds on column j; a nonbasic j keeps its side."""
-        if j not in self.basis:
-            old = self.hi[j] if self.at_upper[j] else self.lo[j]
-            new = hi_j if self.at_upper[j] else lo_j
-            self.beta -= (new - old) * self.t[:, j]
+        """New bounds on basic column j: no basic value moves."""
         self.lo[j], self.hi[j] = lo_j, hi_j
 
     def pivot(self, r, j, delta, leave_upper):
@@ -248,7 +244,7 @@ def _primal_simplex(tab):
         r = ties[np.argmin(tab.basis[ties])]
         tab.pivot(r, j, direction * step, leave_upper=bool(col[r] < 0))
         pivots += 1
-    raise RuntimeError("simplex exceeded the pivot budget")
+    raise SolverLimitError("simplex pivot budget", _MAX_PIVOTS)
 
 
 def _dual_simplex(tab):
@@ -278,7 +274,7 @@ def _dual_simplex(tab):
         target = hi_b[r] if too_high else lo_b[r]
         tab.pivot(r, j, (tab.beta[r] - target) / tab.t[r, j], leave_upper=bool(too_high))
         pivots += 1
-    raise RuntimeError("simplex exceeded the pivot budget")
+    raise SolverLimitError("simplex pivot budget", _MAX_PIVOTS)
 
 
 def solve_lp(lp):
@@ -360,10 +356,22 @@ def solve_binary_mip(lp, binary_vars, rel_gap=0.01, node_limit=100_000):
     incumbent minus 1e-9, or when an incumbent exists and (upper - bound) /
     max(|upper|, eps) <= rel_gap; the returned gap is measured from the
     least bound dropped by the second rule.
+
+    Each integer variable's bounds are first rounded inward to integers, so
+    a variable left at a bound is integral and every branch variable is
+    basic. The simplex stops with SolverLimitError at ``_MAX_PIVOTS``
+    pivots, and an unbounded relaxation raises InputError.
     """
     int_vars = np.array(sorted(set(int(j) for j in binary_vars)), dtype=int)
     if rel_gap < 0:
         raise InputError("rel_gap must be nonnegative")
+    # + 0.0 keeps a lower bound of 0 from becoming ceil(-tol) = -0.0
+    lb, ub = lp.lb.copy(), lp.ub.copy()
+    lb[int_vars] = np.ceil(lb[int_vars] - _INT_TOL) + 0.0
+    ub[int_vars] = np.floor(ub[int_vars] + _INT_TOL)
+    if np.any(lb > ub):
+        return MipResult(status="infeasible")
+    lp = replace(lp, lb=lb, ub=ub)
     incumbent = None
     upper = np.inf
 
@@ -378,7 +386,7 @@ def solve_binary_mip(lp, binary_vars, rel_gap=0.01, node_limit=100_000):
     if res.status == "infeasible":
         return MipResult(status="infeasible", pivots=res.pivots)
     if res.status == "unbounded":
-        raise RuntimeError("relaxation is unbounded; bound the continuous variables")
+        raise InputError("relaxation is unbounded; bound the continuous variables")
     form = _Form(lp)
     lo, hi = form.bounds(lp.lb, lp.ub)
     # stack entries: (bound, lo, hi, x, basis); ``warm`` is the tableau of

@@ -107,6 +107,14 @@ class RouteSet:
         return len(self.routes)
 
 
+def whole_number(value, name):
+    """A JSON field that counts or labels something, as an int; a bool or a
+    fractional number raises InputError naming the field."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def network_from_json(obj):
     """Load a network from the JSON schema {nodes, links, od_pairs}.
 
@@ -117,7 +125,7 @@ def network_from_json(obj):
         nodes = tuple(obj["nodes"])
         links = tuple(
             Link(
-                id=int(lk["id"]),
+                id=whole_number(lk["id"], "link id"),
                 tail=lk["from"],
                 head=lk["to"],
                 t0_hours=float(lk["t0_hours"]),
@@ -126,7 +134,10 @@ def network_from_json(obj):
             )
             for lk in obj["links"]
         )
-        od = [(p["origin"], p["destination"], int(p.get("demand", 0))) for p in obj["od_pairs"]]
+        od = [
+            (p["origin"], p["destination"], whole_number(p.get("demand", 0), "od_pairs demand"))
+            for p in obj["od_pairs"]
+        ]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed network JSON: {exc}") from exc
     return RoadNetwork(nodes=nodes, links=links), od

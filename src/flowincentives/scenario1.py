@@ -28,7 +28,7 @@ import numpy as np
 
 from .choice import amount_tally
 from .errors import InfeasibleModelError, InputError, SolverLimitError
-from .flow import compose_a
+from .flow import compose_a, entry_pairs
 from .lp import LinearProgram, solve_binary_mip
 
 _CAP_TOL = 1e-9
@@ -91,11 +91,7 @@ def build_scenario1(routes, probabilities, location, demand, net, cfg, backgroun
     """
     a_matrix = compose_a(location, probabilities)
     background = np.asarray(background, dtype=float)
-    blocks = demand.blocks
-    if columns is not None and (
-        len(columns) != demand.num_drivers
-        or any(not np.array_equal(np.sort(c), blocks[k]) for c, k in zip(columns, demand.driver_to_od))
-    ):
+    if columns is not None and not np.array_equal(entry_pairs(demand.d_matrix, columns), demand.driver_to_od):
         raise InputError("each driver's columns must be its OD pair's whole block")
 
     free_flow_cost = a_matrix.T @ np.tile(net.free_flow_times, location.horizon)
@@ -168,7 +164,7 @@ def solve_scenario1(model, menu, a_matrix, rel_gap=None, node_limit=200_000):
     Raises InfeasibleModelError naming candidate binding capacity rows when
     no assignment fits under the alpha-scaled capacities; callers may retry
     with a larger alpha. Raises SolverLimitError when ``node_limit`` runs
-    out before any assignment is found.
+    out before any assignment is found, or a simplex run its pivot budget.
     """
     rel_gap = model.rel_gap if rel_gap is None else rel_gap
     res = solve_binary_mip(model.lp, range(a_matrix.shape[1]), rel_gap=rel_gap, node_limit=node_limit)

@@ -128,9 +128,9 @@ def test_usage_error_exit_code(tmp_path, capsys, argv, word):
 @pytest.mark.parametrize(
     "model, flags, word",
     [
-        ("linear", ["--rho", "nan", "--tol", "inf", "--max-iters", "0"], "--rho, --max-iters, --tol"),
-        ("linear", ["--lambda-reg", "0.1"], "--lambda-reg"),
-        ("admm", ["--alpha", "0", "--rel-gap", "5", "--no-alpha-retry"], "--alpha, --rel-gap, --no-alpha-retry"),
+        ("linear", ["--rho", "nan", "--tol", "inf", "--max-iters", "0"], "rho, max_iters, tol"),
+        ("linear", ["--lambda-reg", "0.1"], "lambda_reg"),
+        ("admm", ["--alpha", "0", "--rel-gap", "5", "--no-alpha-retry"], "alpha, alpha_retry, rel_gap"),
     ],
     ids=["linear --rho --tol --max-iters", "linear --lambda-reg", "admm --alpha --rel-gap --no-alpha-retry"],
 )
@@ -142,7 +142,8 @@ def test_flag_the_model_never_reads_is_a_usage_error(tmp_path, capsys, verb, mod
     out_dir = tmp_path / "x"
     assert main([verb, str(scenario), "--model", model, *grid, *flags, "--out-dir", str(out_dir)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"error: --model {model} reads no {word}"]
+    # run_experiment refuses the settings, named by its keywords, before any work
+    assert captured.err.splitlines() == [f"error: model {model!r} reads no {word}"]
     assert captured.out == "" and not out_dir.exists()
 
 
@@ -426,6 +427,21 @@ def test_solver_limit_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: stopped at node_limit=0 before finding a feasible point"]
+
+
+def test_pivot_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # the simplex's own pivot budget, hit in a real linear run, is one error
+    # line and exit code 1, not a traceback, and nothing is written
+    scenario = tmp_path / "scenario.json"
+    main(["generate", "--nodes", "8", "--richness", "2", "--tightness", "1.3", "--drivers", "6", "--seed", "7",
+          "--out", str(scenario)])
+    monkeypatch.setattr("flowincentives.lp._MAX_PIVOTS", 3)
+    capsys.readouterr()
+    out_dir = tmp_path / "x"
+    assert main(["solve", str(scenario), "--model", "linear", "--budget", "100", "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: stopped at simplex pivot budget=3 before finding a feasible point"]
+    assert captured.out == "" and not out_dir.exists()
 
 
 def _links(obj):

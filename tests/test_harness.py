@@ -97,12 +97,26 @@ def test_scenario_json_absent_keys_take_the_defaults():
     assert scenario_from_json(obj).coeffs == ChoiceCoefficients()
 
 
-def test_run_experiment_defaults_are_the_configs():
-    params = inspect.signature(run_experiment).parameters
-    admm, milp = AdmmConfig(), Scenario1Config(budget=0.0)
-    assert [params[name].default for name in ("rho", "lambda_reg", "max_iters", "tol", "alpha", "rel_gap")] == [
-        admm.rho, admm.lambda_reg, admm.max_iters, admm.residual_tol, milp.alpha, milp.rel_gap,
-    ]
+def test_run_experiment_defaults_are_the_configs(monkeypatch):
+    # a run given no model settings hands each solver the config's defaults,
+    # and the linear model its alpha retry
+    seen = []
+    retry_default = inspect.signature(harness.solve_linear).parameters["alpha_retry"].default
+
+    class Stop(Exception):
+        pass
+
+    def stop(pipe, *args, **kwargs):
+        seen.append((args, kwargs))
+        raise Stop
+
+    monkeypatch.setattr(harness, "solve_linear", stop)
+    monkeypatch.setattr(harness, "solve_admm_model", stop)
+    for model in ("linear", "admm"):
+        with pytest.raises(Stop):
+            run_experiment(appendix_c_scenario(), model, 5.0)
+    assert seen == [((Scenario1Config(budget=5.0),), {}), ((5.0, AdmmConfig()), {})]
+    assert retry_default is True
 
 
 def test_scenario_validation():
@@ -303,6 +317,36 @@ def test_background_matches_per_driver_sum(penetration, later, extra_volume, con
     for n, od_index in enumerate(pipe.demand.driver_to_od):
         expected[offer_column(scenario.menu, pipe.routes.route_of_od[od_index][0], 0), n] = 1.0
     assert np.array_equal(zero_assignment(pipe), expected)
+
+
+def test_background_is_the_per_entrance_load_to_the_byte():
+    # entrants at units 1, 2 and the last, a background volume and congested
+    # estimates: the shifted entrance-1 load equals, bit for bit, each
+    # entrance's own location matrix loaded and added in entrance order
+    scenario = generate_synthetic(
+        nodes=12, richness=3, tightness=1.3, drivers=30, seed=5, later_fraction=0.3, horizon=4
+    )
+    scenario = dataclasses.replace(
+        scenario,
+        demand=scenario.demand + [(k, 4, k + 1) for k in range(len(scenario.od_pairs))],
+        background_volume=np.linspace(0.0, 2.0, scenario.net.num_links * scenario.horizon),
+        congested_estimates=True,
+    )
+    assert sorted({entrance for _, entrance, _ in scenario.demand}) == [1, 2, 4]
+    pipe = prepare(scenario, penetration=0.5, seed=3)
+    held = np.zeros((scenario.horizon, len(scenario.od_pairs)))
+    for od_index, entrance, count in scenario.demand:
+        held[entrance - 1, od_index] += count
+    held[0] -= pipe.demand.q
+    reference = np.zeros(pipe.background.size) + scenario.background_volume
+    for entrance, q in enumerate(held, start=1):
+        if q.any():
+            location = build_location_matrix(
+                scenario.net, pipe.routes, scenario.horizon, scenario.unit_length_hours, entrance_time=entrance
+            )
+            zero_counts = pipe.demand.zero_counts(pipe.costs, q)
+            reference = reference + location.matrix @ (pipe.probabilities.matrix @ zero_counts)
+    assert np.array_equal(pipe.background, reference)
 
 
 def test_later_entrants_report_rows_pinned_through_a_saved_scenario(tmp_path):

@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from flowincentives.admm import AdmmProblem, round_counts
+from flowincentives import harness
+from flowincentives.admm import AdmmConfig, AdmmProblem, round_counts
 from flowincentives.choice import build_choice_matrix
 from flowincentives.errors import InfeasibleModelError, InputError
 from flowincentives.flow import DemandModel
@@ -17,7 +18,11 @@ from flowincentives.harness import (
     brute_force_oracle,
     generate_synthetic,
     prepare,
+    run_experiment,
+    scenario_from_json,
+    scenario_to_json,
     select_cohort,
+    sweep,
 )
 from flowincentives.lp import LinearProgram, solve_binary_mip
 from flowincentives.network import Link, RoadNetwork, enumerate_routes, network_from_json
@@ -52,6 +57,17 @@ def routes():
     return prepare(appendix_c_scenario()).routes
 
 
+def loaded(key, value, where=lambda obj: obj):
+    """The worked example's JSON with ``where(obj)[key] = value``, loaded."""
+    obj = scenario_to_json(appendix_c_scenario())
+    where(obj)[key] = value
+    return scenario_from_json(obj)
+
+
+def first_demand(obj):
+    return obj["demand"][0]
+
+
 CASES = {
     "scenario penetration": (
         lambda: scenario(penetration_rate=0.0),
@@ -73,6 +89,28 @@ CASES = {
         lambda: scenario(background_volume=np.zeros(8)),
         InputError,
         "background volume must have E * horizon entries",
+    ),
+    "JSON fractional count": (
+        lambda: loaded("count", 2.7, first_demand),
+        InputError,
+        "count must be a whole number, got 2.7",
+    ),
+    "JSON bool entrance": (
+        lambda: loaded("entrance_time", True, first_demand),
+        InputError,
+        "entrance_time must be a whole number, got True",
+    ),
+    "JSON fractional horizon": (lambda: loaded("horizon", 2.9), InputError, "horizon must be a whole number, got 2.9"),
+    "JSON fractional seed": (lambda: loaded("seed", 0.5), InputError, "seed must be a whole number, got 0.5"),
+    "JSON fractional OD demand": (
+        lambda: loaded("demand", 2.5, lambda obj: obj["network"]["od_pairs"][0]),
+        InputError,
+        "od_pairs demand must be a whole number, got 2.5",
+    ),
+    "JSON fractional link id": (
+        lambda: loaded("id", 1.5, lambda obj: obj["network"]["links"][1]),
+        InputError,
+        "link id must be a whole number, got 1.5",
     ),
     "synthetic richness": (lambda: generate_synthetic(richness=0), InputError, "richness must be at least 1"),
     "cohort penetration": (
@@ -105,6 +143,7 @@ CASES = {
         InputError,
         "per-OD counts must sum to the driver count",
     ),
+    "admm negative seed": (lambda: AdmmConfig(seed=-1), InputError, "seed must be nonnegative"),
     "admm column dims": (
         lambda: admm_problem(d_matrix=np.ones((1, 3))),
         InputError,
@@ -173,3 +212,57 @@ def test_input_check_raises(case):
     make, error, message = CASES[case]
     with pytest.raises(error, match=re.escape(message)):
         make()
+
+
+def test_integral_floats_still_load():
+    obj = scenario_to_json(appendix_c_scenario())
+    obj["horizon"], obj["seed"], obj["demand"][0]["count"] = 3.0, 0.0, 2.0
+    obj["network"]["links"][1]["id"] = 1.0
+    assert scenario_from_json(obj) == appendix_c_scenario()
+
+
+def readme_6():
+    return generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7)
+
+
+# each call hands the library something it would never read
+REFUSALS = {
+    "linear given admm settings": (
+        lambda s, pipe: run_experiment(s, "linear", 100.0, rho=5.0, max_iters=1),
+        "model 'linear' reads no rho, max_iters",
+    ),
+    "linear given a NaN rho": (
+        lambda s, pipe: run_experiment(s, "linear", 100.0, rho=math.nan),
+        "model 'linear' reads no rho",
+    ),
+    "admm given linear settings": (
+        lambda s, pipe: run_experiment(s, "admm", 100.0, alpha=1.0, alpha_retry=False),
+        "model 'admm' reads no alpha, alpha_retry",
+    ),
+    "sweep admm given linear settings": (
+        lambda s, pipe: sweep(s, "admm", [0.0], [1.0], alpha=0.0, rel_gap=5.0),
+        "model 'admm' reads no alpha, rel_gap",
+    ),
+    "oracle pipe with penetration": (
+        lambda s, pipe: brute_force_oracle(s, 100.0, penetration=0.5, pipe=pipe),
+        "a ready pipe carries its cohort",
+    ),
+    "oracle pipe with seed": (
+        lambda s, pipe: brute_force_oracle(s, 100.0, seed=3, pipe=pipe),
+        "a ready pipe carries its cohort",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_unread_input_is_refused_before_any_work(case, monkeypatch):
+    call, message = REFUSALS[case]
+    scenario = readme_6()
+    pipe = prepare(scenario)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("prepare ran")
+
+    monkeypatch.setattr(harness, "prepare", no_work)
+    with pytest.raises(InputError, match=re.escape(message)):
+        call(scenario, pipe)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from flowincentives.errors import InputError
+from flowincentives.errors import InputError, SolverLimitError
 from flowincentives.lp import LinearProgram, _dual_simplex, _Form, _Tableau, solve_binary_mip, solve_lp
 
 
@@ -95,6 +95,12 @@ def test_random_lps_match_vertex_enumeration():
         assert mine.objective == pytest.approx(oracle, abs=1e-6)
 
 
+def _knapsack():
+    rng = np.random.default_rng(4)
+    weight = rng.uniform(1.0, 5.0, 6)
+    return LinearProgram(c=-rng.uniform(1.0, 10.0, 6), a_ub=[weight], b_ub=[0.5 * weight.sum()], ub=np.ones(6))
+
+
 def test_lp_validation():
     with pytest.raises(InputError):
         LinearProgram(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
@@ -144,6 +150,64 @@ def test_bounded_integer_knapsack_matches_enumeration():
         assert res.objective == pytest.approx(best, abs=1e-9)
         assert np.array_equal(res.x, np.round(res.x))
         assert np.all(res.x <= ub)
+
+
+def test_fractional_integer_bounds_round_inward():
+    # x <= 2.5 integer is x <= 2; the search must close at once, not stop at
+    # its node limit with no incumbent
+    res = solve_binary_mip(LinearProgram(c=[-1.0], ub=[2.5]), [0], rel_gap=0.0, node_limit=50)
+    assert (res.status, res.x.tolist(), res.nodes) == ("optimal", [2.0], 1)
+    lp = LinearProgram(c=[-1.0, -2.0], a_ub=[[1.0, 1.0]], b_ub=[3.7], ub=[2.5, 3.0])
+    res = solve_binary_mip(lp, [0, 1], rel_gap=0.0, node_limit=50)
+    assert (res.status, res.x.tolist(), res.objective) == ("optimal", [0.0, 3.0], -6.0)
+    # no integer in [0.2, 0.8]; a lower bound of 0 stays +0.0
+    assert solve_binary_mip(LinearProgram(c=[1.0], lb=[0.2], ub=[0.8]), [0]).status == "infeasible"
+    assert not np.signbit(solve_binary_mip(LinearProgram(c=[1.0], ub=[1.0]), [0]).x).any()
+
+
+def test_fractional_bounds_match_enumeration():
+    # general integers with fractional lower and upper bounds, next to a
+    # continuous variable, against enumeration of the integer points
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        n = 4
+        lb = rng.uniform(0.0, 1.5, n)
+        ub = lb + rng.uniform(0.5, 3.0, n)
+        a_ub = rng.normal(size=(2, n))
+        b_ub = a_ub @ rng.uniform(lb, ub) + rng.uniform(0.0, 1.0, 2)
+        c = rng.normal(size=n)
+        lp = LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, lb=lb, ub=ub)
+        res = solve_binary_mip(lp, range(n - 1), rel_gap=0.0, node_limit=500)
+        ranges = [range(int(np.ceil(lo)), int(np.floor(hi)) + 1) for lo, hi in zip(lb[:-1], ub[:-1])]
+        best = None
+        for point in itertools.product(*ranges):
+            # the continuous last variable spans an interval at fixed integers
+            rest = b_ub - a_ub[:, :-1] @ np.array(point, dtype=float)
+            col = a_ub[:, -1]
+            top = min([ub[-1]] + [r / a for r, a in zip(rest, col) if a > 0])
+            bottom = max([lb[-1]] + [r / a for r, a in zip(rest, col) if a < 0])
+            if bottom > top + 1e-9 or np.any(rest[col == 0] < -1e-9):
+                continue
+            val = float(c[:-1] @ np.array(point) + c[-1] * (bottom if c[-1] >= 0 else top))
+            best = val if best is None else min(best, val)
+        if best is None:
+            assert res.status == "infeasible"
+        else:
+            assert res.status == "optimal"
+            assert res.objective == pytest.approx(best, abs=1e-7)
+            assert np.array_equal(res.x[:-1], np.round(res.x[:-1]))
+
+
+@pytest.mark.parametrize("solve", [lambda: solve_lp(_knapsack()), lambda: solve_binary_mip(_knapsack(), range(6))])
+def test_pivot_budget_is_a_solver_limit(monkeypatch, solve):
+    monkeypatch.setattr("flowincentives.lp._MAX_PIVOTS", 1)
+    with pytest.raises(SolverLimitError, match="simplex pivot budget=1"):
+        solve()
+
+
+def test_unbounded_relaxation_is_an_input_error():
+    with pytest.raises(InputError, match="relaxation is unbounded"):
+        solve_binary_mip(LinearProgram(c=[-1.0, 0.0]), [1])
 
 
 def test_integral_relaxation_no_branching():

@@ -437,7 +437,7 @@ def test_config_rel_gap_reaches_the_mip(monkeypatch):
     # an explicit argument still wins over the config
     solve_scenario1(model, scenario.menu, pipe.a_matrix, rel_gap=0.5)
     # the harness passes its gap once, through the config
-    solve_linear(pipe, 100.0, alpha=2.0, rel_gap=0.25, alpha_retry=True)
+    solve_linear(pipe, Scenario1Config(budget=100.0, alpha=2.0, rel_gap=0.25))
     assert seen == [0.0, 0.5, 0.25]
 
 

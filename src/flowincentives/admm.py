@@ -10,7 +10,7 @@ split into consensus copies so every block update has a closed form:
 
 An optional concave regularizer with weight ``lambda_reg`` (default 0)
 pushes the entries of H toward {0, 1}; with weight zero the problem is
-convex. The iteration is plain two-block ADMM in one fixed order: block 0
+convex. One sweep is plain two-block ADMM in one fixed order: block 0
 updates {u, W, H}, block 1 {S, gamma, beta}, and the variables of each
 block separate once the other block is fixed. For two blocks the fixed
 order is the textbook method, which converges on convex objectives (Boyd
@@ -21,6 +21,17 @@ sweeps on every README-generator scale measured. The duals of the seven
 coupling constraints are one flat vector and a sweep's seven residuals one
 vector of the same layout; the dual ascent adds rho times the residual
 exactly, in one step, which the test suite asserts.
+
+``run_admm`` accelerates that sweep: between sweeps, type-II Anderson
+acceleration with a memory of ``ANDERSON_MEMORY`` moves the state to the
+combination of the last sweeps whose fixed-point residuals cancel best,
+measured in the norm in which the plain sweep's residual never grows on a
+convex problem, and the safeguard clears that memory whenever the residual
+grows all the same. The stop test reads the seven residuals of a plain
+sweep, and the run returns that sweep's state as it left it. The residuals
+only describe the iterate a sweep produced; the point extrapolated from it
+has none until a sweep maps it, so stopping on a sweep keeps ``converged``
+and the final residuals true of what is returned.
 
 The admm model runs one relaxation, then ``rounding.round_counts`` finds
 the integer offer counts nearest its u in L1 exactly (one vectorised pass
@@ -109,18 +120,25 @@ RESIDUAL_LABELS = (
 # than that from 318 to 1,596 rows and about as fast at 4,800
 OBJECTIVE_BLOCK_FLOATS = 1 << 14
 
+# sweep differences an Anderson step combines: ``run_admm`` extrapolates
+# from the last ANDERSON_MEMORY + 1 sweeps
+ANDERSON_MEMORY = 5
+
 
 @dataclass
 class AdmmConfig:
     """Penalty, regularization and stopping parameters.
 
     ``rho`` must exceed ``lambda_reg``, which keeps the H subproblem convex
-    (an interval projection). Iteration stops at ``max_iters`` or once all
-    seven residual norms fall below ``residual_tol``. ``run_admm`` runs its
-    blocks in one fixed order and does not read ``seed``, which stays an
-    accepted, checked field. ``rho``, ``lambda_reg`` and ``residual_tol`` must
-    be finite, ``max_iters`` an integer and ``seed`` nonnegative; a
-    ``residual_tol`` of 0 runs every sweep.
+    (an interval projection). Iteration stops at ``max_iters`` sweeps or
+    once all seven residual norms of a sweep fall below ``residual_tol``.
+    ``run_admm`` runs each sweep's blocks in one fixed order and
+    Anderson-accelerates the sequence of sweeps (the admm module docstring
+    says how), always stopping on a plain sweep; it does not read
+    ``seed``, which stays an accepted, checked field. ``rho``,
+    ``lambda_reg`` and ``residual_tol`` must be finite, ``max_iters`` an
+    integer and ``seed`` nonnegative; a ``residual_tol`` of 0 runs every
+    sweep.
     """
 
     rho: float = 1.0
@@ -300,7 +318,9 @@ class AdmmState:
 @dataclass
 class AdmmResult:
     """From ``run_admm``, ``s_relaxed`` and ``state`` are in the masked layout;
-    ``u_factor`` is the factor its u step applied."""
+    ``u_factor`` is the factor its u step applied. ``iterations`` counts
+    sweeps; ``anderson_steps`` of them started from an extrapolated point,
+    and the extrapolation's memory was cleared ``anderson_restarts`` times."""
 
     u: np.ndarray
     s_relaxed: np.ndarray
@@ -310,6 +330,8 @@ class AdmmResult:
     converged: bool
     state: AdmmState
     u_factor: UFactor
+    anderson_steps: int
+    anderson_restarts: int
 
 
 def _column_classes(d_matrix):
@@ -700,6 +722,122 @@ def admm_iterate(state, problem, cfg, u_factor, order=(0, 1)):
     return largest
 
 
+class _Anderson:
+    """Type-II Anderson acceleration of the sweep map F on the masked state.
+
+    F is one ``admm_iterate`` sweep acting on x = (S, gamma, beta, duals),
+    the only values block 0 reads. After each sweep, ``extrapolate`` moves
+    the state from F(x) to the affine combination sum_i a_i F(x_i) of the
+    last ANDERSON_MEMORY + 1 sweeps whose fixed-point residuals
+    g_i = F(x_i) - x_i combine to the least norm, sum_i a_i = 1 (Walker &
+    Ni, "Anderson acceleration for fixed-point iterations", SIAM J. Numer.
+    Anal. 2011; in this form Pulay's DIIS). The a_i solve the bordered
+    system [[0, 1^T], [1, R]] [nu; a] = [1; 0], where R is the Gram matrix
+    of the g_i; each sweep writes one row and column of it from one
+    product of every slot of the residual ring with the new g. The live
+    slots are a prefix of the ring, so the system is a leading block of one
+    preallocated matrix; a restart moves the newest sweep to slot 0.
+
+    The norm is the one in which a plain sweep's fixed-point residual never
+    grows on a convex problem: rho ||B dz||^2 + ||d lam||^2 / rho, with
+    B z the block-1 terms of the seven constraints, counted per driver (He
+    & Yuan, "On non-ergodic convergence rate of Douglas-Rachford
+    alternating direction method of multipliers", Numer. Math. 2015). So
+    the safeguard, which clears the memory whenever ||g|| rises from one
+    sweep to the next or the system is singular, fires on extrapolations
+    that went wrong; in the plain Euclidean norm of x it fired on more
+    sweeps than it let extrapolate, and one gate-4 instance ran out of
+    sweeps. After a clear the state keeps F(x), the plain sweep. The
+    extrapolated gamma and beta are clipped at 0, the domains of their prox
+    steps. The duals are written into the state in place, so
+    ``AdmmState.parts()`` stays valid; S and gamma are bound to views of
+    the point, which the next sweep reads before it replaces them.
+
+    With OpenBLAS, a dot product of more than 10,000 floats, or a one-row
+    matrix-vector product that long, is summed in pieces across threads,
+    so it rounds by the thread count; a product of several rows hands each
+    row's sum to one thread. So the Gram row is one product of every slot,
+    live or not, and the combination sums over at least two slots: a run
+    takes the same sweeps under any thread count, which
+    ``tests/test_scale_rungs.py`` checks at one and two threads.
+    """
+
+    def __init__(self, state, rho):
+        n_cols, rows = state.s_mat.size, state.gamma.size
+        slots = ANDERSON_MEMORY + 1
+        self.outputs = np.zeros((slots, n_cols + rows + 1 + state.duals.size))  # F(x_i), a slot a sweep
+        self.residuals = np.zeros(self.outputs.shape)  # g_i = F(x_i) - x_i, times the metric's root
+        self.point = np.empty(self.outputs.shape[1])  # the x the next sweep maps
+        self._gather(state, self.point)
+        # the point's parts, as views
+        self.s_mat, self.gamma = self.point[:n_cols], self.point[n_cols : n_cols + rows]
+        self.beta_at, self.duals = n_cols + rows, self.point[n_cols + rows + 1 :]
+        # the square root of the diagonal metric: rho (q^2 + 2 q) on S, where
+        # each entry enters the offer mass weighted by its q drivers and
+        # H - S and W - S once per driver, rho on gamma and beta, and each
+        # dual's squared residual scale over rho
+        w = state.weights
+        root_rho = math.sqrt(rho)
+        self.metric_root = np.concatenate(
+            (np.sqrt(rho * (w * w + 2.0 * w)), np.full(rows + 1, root_rho), state.residual_scale / root_rho)
+        )
+        self.gram = np.zeros((slots + 1, slots + 1))  # R, bordered at row and column 0
+        self.gram[0, 1:] = self.gram[1:, 0] = 1.0
+        self.rhs = np.zeros(slots + 1)
+        self.rhs[0] = 1.0
+        self.row = np.empty(slots)
+        self.live = 0  # slots holding sweeps since the last restart
+        self.slot = 0  # where the next sweep goes
+        self.last = math.inf  # ||g||^2 of the last sweep
+        self.steps = self.restarts = 0
+
+    @staticmethod
+    def _gather(state, out):
+        np.concatenate((state.s_mat, state.gamma, (state.beta,), state.duals), out=out)
+
+    def _restart(self, slot, norm):
+        """Keep only the newest sweep, moved to slot 0."""
+        self.restarts += 1
+        if slot:
+            self.outputs[0] = self.outputs[slot]
+            self.residuals[0] = self.residuals[slot]
+        self.gram[1, 1] = norm
+        self.live, self.slot = 1, 1
+
+    def extrapolate(self, state):
+        """Record the sweep that just ran and move the state to the next x."""
+        j = self.slot
+        f, g = self.outputs[j], self.residuals[j]
+        self._gather(state, f)
+        np.subtract(f, self.point, out=g)
+        np.multiply(g, self.metric_root, out=g)
+        np.matmul(self.residuals, g, out=self.row)
+        norm = float(self.row[j])
+        rose, self.last = norm > self.last, norm
+        if rose:
+            self._restart(j, norm)
+        else:
+            self.gram[1 + j, 1:] = self.gram[1:, 1 + j] = self.row
+            self.live = min(self.live + 1, ANDERSON_MEMORY + 1)
+            self.slot = (j + 1) % (ANDERSON_MEMORY + 1)
+        live = self.live
+        if live > 1:
+            try:
+                coef = np.linalg.solve(self.gram[: live + 1, : live + 1], self.rhs[: live + 1])
+            except np.linalg.LinAlgError:
+                self._restart(j, norm)
+                live = 1
+        if live == 1:
+            np.copyto(self.point, f)
+            return
+        np.matmul(coef[1:], self.outputs[:live], out=self.point)
+        np.maximum(self.gamma, 0.0, out=self.gamma)
+        self.point[self.beta_at] = state.beta = max(0.0, float(self.point[self.beta_at]))
+        state.s_mat, state.gamma = self.s_mat, self.gamma
+        np.copyto(state.duals, self.duals)
+        self.steps += 1
+
+
 def run_admm(problem, cfg=None):
     """Iterate to the relaxed solution; early exit once residuals pass tol.
 
@@ -707,15 +845,21 @@ def run_admm(problem, cfg=None):
     runs block 0 then block 1, ``admm_iterate``'s default order, so a run
     depends on its problem and config only, and each sweep forms A u + bg
     once: block 1 computes it at the new u and the residuals reuse it.
+    Between sweeps ``_Anderson`` extrapolates the state; the run stops on,
+    and returns, a plain sweep (see the module docstring).
     """
     cfg = cfg or AdmmConfig()
     state = initial_state(problem, masked=True)
     u_factor = build_u_factor(problem)
+    anderson = _Anderson(state, cfg.rho)
     converged = False
-    for _ in range(cfg.max_iters):
+    while True:
         if admm_iterate(state, problem, cfg, u_factor) < cfg.residual_tol:
             converged = True
             break
+        if state.iteration == cfg.max_iters:
+            break
+        anderson.extrapolate(state)
     return AdmmResult(
         u=state.u.copy(),
         s_relaxed=state.s_mat.copy(),
@@ -725,6 +869,8 @@ def run_admm(problem, cfg=None):
         converged=converged,
         state=state,
         u_factor=u_factor,
+        anderson_steps=anderson.steps,
+        anderson_restarts=anderson.restarts,
     )
 
 

@@ -647,6 +647,8 @@ def run_experiment(
             {
                 "iterations": trace.iterations,
                 "converged": trace.converged,
+                "anderson_steps": trace.anderson_steps,
+                "anderson_restarts": trace.anderson_restarts,
                 "final_residuals": [float(v) for v in trace.residuals[-1]],
                 "relaxed_objective": float(trace.objectives[-1]),
                 "rounding_l1": rounding_l1,

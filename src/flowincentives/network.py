@@ -138,7 +138,9 @@ def network_from_json(obj):
             (p["origin"], p["destination"], whole_number(p.get("demand", 0), "od_pairs demand"))
             for p in obj["od_pairs"]
         ]
-    except (KeyError, TypeError) as exc:
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed network JSON: {exc}") from exc
     return RoadNetwork(nodes=nodes, links=links), od
 

@@ -771,6 +771,18 @@ def test_sweep_is_bit_identical_to_frozen_reference(make_problem, rho, lambda_re
     assert np.array_equal(state.objective_history, ref.objective_history)
 
 
+def plain_masked_run(problem, cfg, factor=None):
+    """The masked iteration without acceleration: ``admm_iterate`` in
+    ``run_admm``'s block order from its start, to the same stop test."""
+    if factor is None:
+        factor = build_u_factor(problem)
+    state = initial_state(problem, masked=True)
+    for _ in range(cfg.max_iters):
+        if admm_iterate(state, problem, cfg, factor) < cfg.residual_tol:
+            break
+    return state
+
+
 @pytest.mark.parametrize(
     "make_problem, lambda_reg, max_iters",
     [
@@ -789,28 +801,62 @@ def test_sweep_is_bit_identical_to_frozen_reference(make_problem, rho, lambda_re
     ],
 )
 def test_class_run_matches_per_driver_iteration(make_problem, lambda_reg, max_iters, monkeypatch):
-    # run_admm carries one q_k-weighted entry per offer column, on its own
-    # OD pair only; the frozen masked per-driver loop, one unit-weight
-    # driver per problem.columns entry, in the same fixed block order and
-    # with the same prox, must tell the same story
+    # the masked iteration run_admm accelerates carries one q_k-weighted
+    # entry per offer column, on its own OD pair only; the frozen masked
+    # per-driver loop, one unit-weight driver per problem.columns entry, in
+    # the same fixed block order and with the same prox, must tell the same
+    # story
     monkeypatch.setattr("flowincentives.admm.gamma_solve", frozen_prox)
     problem = make_problem()
     cfg = AdmmConfig(rho=1.0, lambda_reg=lambda_reg, max_iters=max_iters)
-    result = run_admm(problem, cfg)
     factor = build_u_factor(problem)
+    masked = plain_masked_run(problem, cfg, factor)
     state = admm_reference.masked_start(problem)
     for _ in range(cfg.max_iters):
         admm_reference.masked_sweep(state, problem, cfg.rho, cfg.lambda_reg, factor, (0, 1))
         if np.max(state.residual_history[-1]) < cfg.residual_tol:
             break
-    assert result.iterations == state.iteration
-    assert np.max(np.abs(result.u - state.u)) < 1e-9
+    assert masked.iteration == state.iteration
+    assert np.max(np.abs(masked.u - state.u)) < 1e-9
     # relative to each residual's largest value: the first sweeps leave
     # some norms at rounding level, where any summation order differs
     per_driver = np.array(state.residual_history)
-    assert np.all(np.abs(result.residuals - per_driver) <= 1e-9 * per_driver.max(axis=0))
-    assert np.allclose(result.objectives, state.objective_history, rtol=1e-9, atol=0.0)
-    assert result.state.s_mat.shape == (problem.num_columns,)
+    assert np.all(np.abs(np.array(masked.residual_history) - per_driver) <= 1e-9 * per_driver.max(axis=0))
+    assert np.allclose(masked.objective_history, state.objective_history, rtol=1e-9, atol=0.0)
+    assert masked.s_mat.shape == (problem.num_columns,)
+
+
+@pytest.mark.parametrize(
+    "make_problem, fewer",
+    [
+        (small_problem, False),
+        (readme_problem, False),
+        (hundred_driver_problem, True),
+        (lambda: synthetic_problem(nodes=160, drivers=480), True),
+        (trunk_problem, True),
+    ],
+    ids=["small", "readme", "100 drivers", "480 drivers", "one trunk"],
+)
+def test_acceleration_keeps_the_answer(make_problem, fewer):
+    # run_admm extrapolates between sweeps but stops on, and returns, a
+    # plain sweep: its last residuals are those of the state it returns,
+    # and its relaxed objective is the plain iteration's to within the
+    # tolerance both stop at
+    problem = make_problem()
+    cfg = AdmmConfig()
+    result = run_admm(problem, cfg)
+    assert result.converged
+    state = result.state
+    parts = zip(residual_vectors(state, problem), state.split(state.residual_scale))
+    recomputed = [np.linalg.norm(part * scale) for part, scale in parts]
+    assert np.allclose(result.residuals[-1], recomputed, rtol=1e-9, atol=1e-12)
+    plain = plain_masked_run(problem, cfg)
+    want = relaxed_objective(plain.u, problem)
+    assert abs(relaxed_objective(result.u, problem) - want) <= 1e-4 * want
+    assert result.anderson_steps > 0
+    assert result.anderson_steps + result.anderson_restarts == result.iterations - 2
+    if fewer:
+        assert result.iterations < plain.iteration
 
 
 def test_run_reads_no_seed_and_forms_the_volume_once_per_sweep(monkeypatch):
@@ -970,7 +1016,7 @@ def test_relaxation_on_shared_links_converges():
     # one trunk joins every OD pair's columns, so the u step applies one
     # dense 477-column block; the default run must converge, in its sweeps
     res = run_admm(trunk_problem())
-    assert res.converged and res.iterations == 1108
+    assert res.converged and res.iterations == 658
     assert np.all(res.residuals[-1] < AdmmConfig.residual_tol)
 
 
@@ -1011,7 +1057,7 @@ def test_gamma_solve_meets_first_order_condition_near_frozen_reference():
 
 
 def test_gamma_solve_matches_compressed_newton_on_a_480_driver_run(monkeypatch):
-    # every prox call of the 480-driver relaxation (497 sweeps), captured
+    # every prox call of the 480-driver relaxation (268 sweeps), captured
     # at its inputs: most rows are active and the rest sit at phi(0) >= 0
     calls = []
 
@@ -1021,7 +1067,7 @@ def test_gamma_solve_matches_compressed_newton_on_a_480_driver_run(monkeypatch):
 
     monkeypatch.setattr("flowincentives.admm.gamma_solve", capture)
     result = run_admm(synthetic_problem(nodes=160, drivers=480))
-    assert len(calls) == result.iterations == 497
+    assert len(calls) == result.iterations == 268
     inactive = 0
     for m, lam, rho, t0, w in calls:
         assert_prox_matches_compressed_newton(m, lam, rho, t0, w)

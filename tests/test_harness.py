@@ -640,9 +640,9 @@ def test_reports_reproducible():
 
 def test_report_json_carries_admm_counters(tmp_path):
     # the one admm run explains itself in report.json: its iteration count,
-    # converged flag, the rounding's L1 distance to the relaxed counts, the
-    # number of polish moves and the u-factor's block structure; at 5
-    # iterations the run does not converge
+    # converged flag, Anderson steps and restarts, the rounding's L1
+    # distance to the relaxed counts, the number of polish moves and the
+    # u-factor's block structure; at 5 iterations the run does not converge
     for max_iters, converged in ((5, False), (5000, True)):
         outcome = run_experiment(
             generate_synthetic(nodes=8, richness=2, tightness=1.3, drivers=6, seed=7),
@@ -662,13 +662,18 @@ def test_report_json_carries_admm_counters(tmp_path):
             np.abs(rounded - np.clip(outcome.admm_result.u, 0.0, None)).sum()
         )
         assert isinstance(extra["polish_moves"], int) and extra["polish_moves"] >= 0
+        # between two sweeps the run extrapolates or restarts, except after
+        # the first, whose plain step holds the only sweep in memory
+        steps, restarts = extra["anderson_steps"], extra["anderson_restarts"]
+        assert (steps, restarts) == (outcome.admm_result.anderson_steps, outcome.admm_result.anderson_restarts)
+        assert steps > 0 and steps + restarts == extra["iterations"] - 2
         # the u step's factor: one block of 6 columns per OD pair
         assert (extra["u_factor_blocks"], extra["u_factor_largest_block"]) == (2, 6)
         path = tmp_path / "report.json"
         write_report_json(outcome.report, path)
         saved = json.loads(path.read_text())["extra"]
         for key in (
-            "iterations", "converged", "rounding_l1", "polish_moves",
+            "iterations", "converged", "anderson_steps", "anderson_restarts", "rounding_l1", "polish_moves",
             "u_factor_blocks", "u_factor_largest_block",
         ):
             assert saved[key] == extra[key], key
@@ -678,15 +683,16 @@ def test_report_json_carries_admm_counters(tmp_path):
 def test_admm_report_row_at_100_drivers_is_frozen():
     # frozen from the masked class relaxation (numpy 2.4.6), which the
     # masked per-driver iteration matches to rounding; the report must
-    # stay byte for byte, at 100 drivers and at the benchmark's 480
+    # stay byte for byte, at 100 drivers and at the benchmark's 480, where
+    # the rows were frozen before the relaxation was Anderson-accelerated
     frozen = {
         (40, 100): (
-            76,
+            51,
             "admm,100,1,7,100,46,2.173913043,18.96426131,18.89701221,0.3546096519,"
             "10.61190814,0:54;2:45;10:1",
         ),
         (160, 480): (
-            497,
+            268,
             "admm,100,1,7,64,5,2.666666667,93.49353741,93.15539863,0.3616707436,"
             "53.35829821,0:456;2:22;10:2",
         ),

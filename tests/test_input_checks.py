@@ -64,6 +64,12 @@ def loaded(key, value, where=lambda obj: obj):
     return scenario_from_json(obj)
 
 
+def one_link_network(**changes):
+    """The JSON of a network with one link a -> b, its fields changed."""
+    link = {"id": 0, "from": "a", "to": "b", "t0_hours": 0.1, "capacity": 1, "length_miles": 1, **changes}
+    return {"nodes": ["a", "b"], "links": [link], "od_pairs": []}
+
+
 def first_demand(obj):
     return obj["demand"][0]
 
@@ -128,6 +134,14 @@ CASES = {
         InputError,
         "malformed network JSON",
     ),
+    **{
+        f"network JSON string {field}": (
+            lambda field=field: network_from_json(one_link_network(**{field: "fast"})),
+            InputError,
+            "malformed network JSON: could not convert string to float: 'fast'",
+        )
+        for field in ("t0_hours", "capacity", "length_miles")
+    },
     "max routes": (
         lambda: enumerate_routes(appendix_c_scenario().net, [("v1", "v3")], max_routes=0),
         InputError,

@@ -75,15 +75,18 @@ when the problem is built, A's nonzeros and the prox constant 0.75 t0 / w^4
 the state ``initial_state`` returns, each OD pair's n_k + 1 (the W step's
 divisor), the weights + 2 (the masked S step's divisor), the residual scale,
 which one multiply applies to a sweep's residuals, and where each residual
-part starts. The sweep's trace is evaluated in bulk: masked, the seven
-residual norms are one ``np.add.reduceat`` of the squared scaled residuals
-and one square root (per driver, each part's sqrt(x . x), as the frozen
-reference has them), and each sweep's A u + bg waits on the state until
-the pending volumes would pass ``OBJECTIVE_BLOCK_FLOATS``, ``run_admm``
-ends or ``objective_history`` is read, when their BPR objectives are
-evaluated as one block. A row sum of that C-contiguous block adds its
-entries in the order a 1-D sum of the row would, so each objective is the
-same float.
+part starts. Nor does a sweep allocate its iterate: the state owns one
+vector holding S, gamma, beta and the duals, and each block update takes an
+``out``, where the sweep passes the state's own u, W, H or part of that
+vector; the prox runs in row buffers made once per run. The trace is
+evaluated in bulk: masked, the seven residual norms are one
+``np.add.reduceat`` of the squared scaled residuals and one square root
+(per driver, each part's sqrt(x . x), as the frozen reference has them),
+and each sweep writes A u + bg into the next row of one block of
+``OBJECTIVE_BLOCK_FLOATS``, whose BPR objectives are evaluated together
+once it is full, ``run_admm`` ends or ``objective_history`` is read. A row
+sum of that C-contiguous block adds its entries in the order a 1-D sum of
+the row would, so each objective is the same float.
 
 The update formulas come from differentiating the augmented Lagrangian
 directly. In the u step the budget terms enter as
@@ -101,7 +104,7 @@ import numpy as np
 
 from .errors import DivergenceError, InputError
 from .flow import deal_counts, entry_pairs
-from .kernels import bpr_terms, gamma_solve
+from .kernels import ProxRows, bpr_terms, gamma_solve
 from .rounding import round_counts
 
 RESIDUAL_LABELS = (
@@ -228,14 +231,19 @@ class AdmmProblem:
         return len(self.columns)
 
 
-def _dual(index):
-    """lam<index + 1>: a view of the state's part of ``duals``, shaped like S
-    for lam5 and lam7 and read as a float for lam6; setting writes into it."""
-    read = float if index == 5 else np.asarray
-    return property(
-        lambda state: read(state.parts()[0][index]),
-        lambda state, value: np.copyto(state.parts()[0][index], value),
-    )
+def _view(index):
+    """View ``index`` of ``AdmmState.parts()``, read as a float when 0-d
+    (beta, lam6); setting copies into it."""
+
+    def get(state):
+        view = state.parts()[0][index]
+        return float(view) if view.ndim == 0 else view
+
+    def put(state, value):
+        if value is not (view := state.parts()[0][index]):
+            np.copyto(view, value)
+
+    return property(get, put)
 
 
 @dataclass
@@ -246,41 +254,41 @@ class AdmmState:
     ``classes`` gives each column's OD pair and lam2 has one entry per pair.
     Per driver: they are (n_cols x entries) matrices, one column per
     ``problem.columns`` entry, lam2 has one entry per column of S and
-    ``classes`` is None. The duals are one flat vector, ``duals``: lam1 ...
-    lam7 end to end at ``dual_slices`` (lam5 and lam7 as S raveled), which
-    ``lam1`` ... ``lam7`` read and write as views (``lam6`` as a float).
-    ``initial_state`` also sets the constants the sweeps divide and scale
-    by, once per run: the divisors are None per driver, and
-    ``residual_scale`` holds sqrt(q) masked or sqrt(weights) at lam2,
-    sqrt(weights) at lam5 and lam7, and 1 elsewhere. ``norm_starts`` holds
-    where each part starts, for the masked norms' one reduction (None per
-    driver, or when a part is empty). ``objective_history`` evaluates the
-    volumes ``pending_volumes`` holds with ``bpr_rows`` (t0_row, w_row)
-    before it is read; a sweep that leaves ``objective_block`` of them
-    pending, as many as fit in ``OBJECTIVE_BLOCK_FLOATS``, evaluates them.
+    ``classes`` is None. ``point`` holds S raveled, gamma, beta and the
+    duals end to end, lam1 ... lam7 at ``dual_slices`` within the duals
+    (lam5 and lam7 as S raveled); ``s_mat``, ``gamma``, ``beta``, ``duals``
+    and ``lam1`` ... ``lam7`` are its views (``beta`` and ``lam6`` read as
+    floats), and assigning one copies into it. ``initial_state`` also sets
+    the constants the sweeps divide and scale by, once per run: the divisors
+    are None per driver, and ``residual_scale`` holds sqrt(q) masked or
+    sqrt(weights) at lam2, sqrt(weights) at lam5 and lam7, and 1 elsewhere.
+    ``norm_starts`` holds where each part starts, for the masked norms' one
+    reduction (None per driver, or when a part is empty). A full
+    ``volumes`` block, or a read of ``objective_history``, scores its
+    ``pending`` rows where they lie with ``bpr_rows`` (t0_row, w_row).
     """
 
     u: np.ndarray
-    s_mat: np.ndarray
     w_mat: np.ndarray
     h_mat: np.ndarray
-    gamma: np.ndarray
-    beta: float
-    duals: np.ndarray
+    point: np.ndarray  # S raveled, gamma, beta and the duals
+    s_shape: tuple
+    beta_at: int  # beta's place in ``point``
     dual_slices: tuple
     weights: np.ndarray  # drivers each S entry stands for, broadcast against S
-    objective_block: int  # most volumes pending at once
+    volumes: np.ndarray  # (sweeps, rows), as many as fit in OBJECTIVE_BLOCK_FLOATS: A u + bg per sweep
     classes: np.ndarray = None  # masked layout: the OD pair of each column
     pair_divisor: np.ndarray = None  # masked layout: n_k + 1 per OD pair, for the W step
     s_divisor: np.ndarray = None  # masked layout: weights + 2, for the S step
     residual_scale: np.ndarray = None  # what a residual vector is scaled by before its norms
     norm_starts: np.ndarray = None  # masked layout: where each residual part starts
     bpr_rows: tuple = None  # (t0_row, w_row), which the pending volumes are scored with
+    prox: ProxRows = None  # the volume prox's row buffers, its root written to gamma
     iteration: int = 0
+    pending: int = 0  # rows of ``volumes`` not yet scored
     residual_history: list = field(default_factory=list)
     evaluated_objectives: list = field(default_factory=list, repr=False)
-    pending_volumes: list = field(default_factory=list, repr=False)  # A u + bg, not yet scored
-    lam1, lam2, lam3, lam4, lam5, lam6, lam7 = (_dual(index) for index in range(7))
+    s_mat, gamma, beta, duals, lam1, lam2, lam3, lam4, lam5, lam6, lam7 = (_view(index) for index in range(11))
 
     @property
     def objective_history(self):
@@ -290,28 +298,30 @@ class AdmmState:
 
     def flush_objectives(self):
         """Score the pending volumes as one (sweeps x rows) block."""
-        if self.pending_volumes:
-            block = np.maximum(np.array(self.pending_volumes), 0.0)
+        if self.pending:
+            block = np.maximum(self.volumes[: self.pending], 0.0, out=self.volumes[: self.pending])
             self.evaluated_objectives.extend(bpr_terms(block, *self.bpr_rows).sum(axis=1).tolist())
-            self.pending_volumes.clear()
+            self.pending = 0
 
     def split(self, flat):
         """The seven parts of a vector laid out like ``duals``, as views,
         the lam5 and lam7 parts in S's shape."""
-        shapes = (-1, -1, -1, -1, self.s_mat.shape, -1, self.s_mat.shape)
+        shapes = (-1, -1, -1, -1, self.s_shape, -1, self.s_shape)
         return [flat[at].reshape(shape) for at, shape in zip(self.dual_slices, shapes)]
 
     def parts(self):
-        """Cached views: the duals' seven (lam6 0-d), then a sweep's residual
-        vector with its shaped parts and its scaled copy with flat ones.
-        Rebuilt once ``duals`` is rebound or the state copied."""
-        cached = self.__dict__.get("_parts")
-        if cached is None or cached[0][0].base is not self.duals:
-            lams = self.split(self.duals)
-            lams[5] = lams[5].reshape(())
-            residual, scaled = np.empty((2, self.duals.size))
+        """Cached views: of the point, S, gamma, beta (0-d), the duals and
+        their seven parts (lam6 0-d); then a sweep's residual vector with
+        its shaped parts and its scaled copy with flat ones. Built again
+        once ``point`` is rebound or the state copied."""
+        cached, point = self.__dict__.get("_parts"), self.point
+        if cached is None or cached[0][0].base is not (point if point.base is None else point.base):
+            s_mat, gamma, beta, duals = np.split(point, [math.prod(self.s_shape), self.beta_at, self.beta_at + 1])
+            views = [s_mat.reshape(self.s_shape), gamma, beta.reshape(()), duals, *self.split(duals)]
+            views[9] = views[9].reshape(())
+            residual, scaled = np.empty((2, duals.size))
             flat = [scaled[at] for at in self.dual_slices]
-            cached = self._parts = (lams, residual, self.split(residual), scaled, flat)
+            cached = self._parts = (views, residual, self.split(residual), scaled, flat)
         return cached
 
 
@@ -375,30 +385,34 @@ def initial_state(problem, masked=False):
     sizes = [x.size for x in scale]
     ends = np.cumsum(sizes).tolist()
     rows = problem.background.size
-    return AdmmState(
+    state = AdmmState(
         u=u,
-        s_mat=s_mat,
         w_mat=s_mat.copy(),
         h_mat=s_mat.copy(),
-        gamma=_volume(u, problem, classes),
-        beta=max(0.0, problem.budget - float(problem.costs @ u)),
-        duals=np.zeros(ends[-1]),
+        point=np.zeros(s_mat.size + rows + 1 + ends[-1]),
+        s_shape=s_mat.shape,
+        beta_at=s_mat.size + rows,
         dual_slices=tuple(slice(end - x.size, end) for end, x in zip(ends, scale)),
         weights=weights,
+        volumes=np.empty((max(1, OBJECTIVE_BLOCK_FLOATS // max(1, rows)), rows)),
         classes=classes,
         pair_divisor=pair_divisor,
         s_divisor=s_divisor,
         residual_scale=np.concatenate(scale),
         norm_starts=np.subtract(ends, sizes) if masked and min(sizes) > 0 else None,
         bpr_rows=(problem.t0_row, problem.w_row),
-        objective_block=max(1, OBJECTIVE_BLOCK_FLOATS // max(1, rows)),
     )
+    state.s_mat, state.gamma = s_mat, _volume(u, problem, classes)
+    state.beta = max(0.0, problem.budget - float(problem.costs @ u))
+    state.prox = ProxRows(problem.prox_quart, state.gamma)
+    return state
 
 
-def _offer_mass(s_mat, weights):
+def _offer_mass(s_mat, weights, out=None):
     """S 1 over the drivers each entry stands for: q_j S_j when masked."""
-    mass = s_mat * weights
-    return mass if mass.ndim == 1 else mass.sum(axis=1)
+    if s_mat.ndim == 1:
+        return np.multiply(s_mat, weights, out)
+    return (s_mat * weights).sum(axis=1, out=out)
 
 
 def _ranges(starts, lengths):
@@ -414,7 +428,8 @@ class UFactor:
     ``groups`` holds one entry per block size s: the columns of its k
     blocks (a slice when they form one contiguous range), the (k, s, s)
     stack of their inverses and the (k, s, 1) shape their part of x takes.
-    M^-1 x = y - z (c . y) / (1 + c . z) with y = B^-1 x and z = B^-1 c.
+    M^-1 x = y - z (c . y) / (1 + c . z) with y = B^-1 x and z = B^-1 c;
+    ``solve`` writes it to ``out``.
     """
 
     def __init__(self, groups, costs):
@@ -425,16 +440,18 @@ class UFactor:
         z = self._block_solve(costs)
         self._z_scaled = z / (1.0 + costs @ z)
 
-    def _block_solve(self, x):
-        y = np.empty(x.shape)
+    def _block_solve(self, x, out=None):
+        y = np.empty(x.shape) if out is None else out
         for index, inverse, shape in self.groups:
             y[index] = (inverse @ x[index].reshape(shape)).ravel()
         return y
 
-    def __matmul__(self, x):
-        y = self._block_solve(x)
+    def solve(self, x, out=None):
+        y = self._block_solve(x, out)
         y -= self._z_scaled * self.costs.dot(y)
         return y
+
+    __matmul__ = solve
 
 
 def _components(rows, cols, n_rows, n_cols):
@@ -534,33 +551,32 @@ def build_u_factor(problem):
     return UFactor(groups, p.costs)
 
 
-def u_update(state, problem, rho, u_factor):
-    """Solve of the u block; masked, D^T x is x[classes], D^T q the weights
-    and A^T one product over A's nonzeros."""
+def u_update(state, problem, rho, u_factor, out=None):
+    """Solve of the u block; masked, D^T x is x[classes], D^T q the
+    weights and A^T one product over A's nonzeros."""
     p = problem
-    lam1, _, lam3, lam4, _, lam6, _ = state.parts()[0]
+    s_mat, gamma, beta, _, lam1, _, lam3, lam4, _, lam6, _ = state.parts()[0]
     if state.classes is None:
         rhs = (
             (lam1 - p.d_matrix.T @ lam3 - p.a_matrix.T @ lam4 - lam6 * p.costs) / rho
-            + _offer_mass(state.s_mat, state.weights)
+            + _offer_mass(s_mat, state.weights)
             + p.d_matrix.T @ p.q
-            + p.a_matrix.T @ (state.gamma - p.background)
-            + (p.budget - state.beta) * p.costs
+            + p.a_matrix.T @ (gamma - p.background)
+            + (p.budget - float(beta)) * p.costs
         )
     else:
         rows, cols, values = p.a_nonzeros
-        target = state.gamma - p.background - lam4 / rho
-        rhs = (
-            (lam1 - lam3[state.classes] - lam6 * p.costs) / rho
-            + _offer_mass(state.s_mat, state.weights)
-            + state.weights
-            + np.bincount(cols, values * target[rows], p.num_columns)
-            + (p.budget - state.beta) * p.costs
-        )
-    return u_factor @ rhs
+        target = np.subtract(gamma, p.background)
+        products = np.subtract(target, lam4 / rho, target)[rows]
+        rhs = lam3[state.classes]
+        np.divide(np.subtract(np.subtract(lam1, rhs, rhs), lam6 * p.costs, rhs), rho, rhs)
+        products = np.bincount(cols, np.multiply(values, products, products), p.num_columns)
+        for term in (_offer_mass(s_mat, state.weights), state.weights, products, (p.budget - float(beta)) * p.costs):
+            np.add(rhs, term, rhs)
+    return u_factor.solve(rhs, out)
 
 
-def w_update(s_mat, lam2, lam7, rho, classes=None, divisor=None):
+def w_update(s_mat, lam2, lam7, rho, classes=None, divisor=None, out=None):
     """Closed form for the column-sum copy via its rank-one inverse:
     g = 1 + S - (lam7 + lam2) / rho, less its column sums over m + 1.
 
@@ -568,20 +584,23 @@ def w_update(s_mat, lam2, lam7, rho, classes=None, divisor=None):
     less its sum over the column's block over n_k + 1 instead, which
     ``divisor`` holds per pair (``AdmmState.pair_divisor``).
     """
+    shift = np.add(lam7, lam2[None, :] if classes is None else lam2[classes])
+    g = np.add(s_mat, 1.0, out)
+    np.subtract(g, np.divide(shift, rho, shift), g)
     if classes is None:
-        g = 1.0 + s_mat - (lam7 + lam2[None, :]) / rho
-        return g - g.sum(axis=0, keepdims=True) / (s_mat.shape[0] + 1.0)
-    g = 1.0 + s_mat - (lam7 + lam2[classes]) / rho
-    return g - (np.bincount(classes, g, lam2.size) / divisor)[classes]
+        return np.subtract(g, g.sum(axis=0, keepdims=True) / (s_mat.shape[0] + 1.0), g)
+    sums = np.bincount(classes, g, lam2.size)
+    return np.subtract(g, np.divide(sums, divisor, sums)[classes], g)
 
 
-def h_update(s_mat, lam5, rho, lambda_reg):
+def h_update(s_mat, lam5, rho, lambda_reg, out=None):
     """Box projection of (rho S - lam5 - lambda_reg / 2) / (rho - lambda_reg)."""
-    x = (rho * s_mat - lam5 - lambda_reg / 2.0) / (rho - lambda_reg)
-    return x.clip(0.0, 1.0)
+    x = np.multiply(s_mat, rho, out)
+    np.divide(np.subtract(np.subtract(x, lam5, x), lambda_reg / 2.0, x), rho - lambda_reg, x)
+    return x.clip(0.0, 1.0, out=x)
 
 
-def s_update(u, h_mat, w_mat, lam1, lam5, lam7, rho, weights=None, divisor=None):
+def s_update(u, h_mat, w_mat, lam1, lam5, lam7, rho, weights=None, divisor=None, out=None):
     """Assignment update via the rank-one inverse of (rho w 1^T + 2 rho I).
 
     Columns decouple given one shared weighted row sum: with
@@ -590,12 +609,14 @@ def s_update(u, h_mat, w_mat, lam1, lam5, lam7, rho, weights=None, divisor=None)
     entry and S = g / (w + 2), with w + 2 given as ``divisor``
     (``AdmmState.s_divisor``). ``weights`` defaults to one per entry.
     """
-    if weights is None:
-        weights = np.ones(h_mat.shape[-1])
+    u, lam1 = (u, lam1) if h_mat.ndim == 1 else (u[:, None], lam1[:, None])
+    g = np.add(lam5, lam7, out)
+    np.add(u, np.divide(np.subtract(g, lam1, g), rho, g), g)
+    np.add(np.add(g, h_mat, g), w_mat, g)
     if h_mat.ndim == 1:
-        return (u + (lam5 + lam7 - lam1) / rho + h_mat + w_mat) / divisor
-    g = u[:, None] + (lam5 + lam7 - lam1[:, None]) / rho + h_mat + w_mat
-    return (g - (g * weights).sum(axis=1, keepdims=True) / (weights.sum() + 2.0)) / 2.0
+        return np.divide(g, divisor, g)
+    weights = np.ones(h_mat.shape[-1]) if weights is None else weights
+    return np.divide(np.subtract(g, (g * weights).sum(axis=1, keepdims=True) / (weights.sum() + 2.0), g), 2.0, g)
 
 
 def gamma_subproblem(a_u, lam4, rho, t0, w, quart=None):
@@ -605,35 +626,40 @@ def gamma_subproblem(a_u, lam4, rho, t0, w, quart=None):
     g >= 0 with the kernel module's plain Newton: a row stops at 0 when the
     derivative there is nonnegative, otherwise once every row's derivative
     is below 1e-10 in absolute value, or after 200 passes. ``quart`` is
-    0.75 t0 / w^4 (``AdmmProblem.prox_quart``), computed when not given.
+    0.75 t0 / w^4 (``AdmmProblem.prox_quart``), computed when not given, or
+    the state's ``ProxRows``, which the root is written into.
     """
     out = gamma_solve(a_u, lam4, rho, t0, w, quart=quart)
     return float(out[0]) if np.ndim(a_u) == 0 else out
 
 
-def beta_update(u, lam6, rho, costs, budget):
-    return max(0.0, budget - float(costs @ u) - lam6 / rho)
+def beta_update(spend, lam6, rho, budget):
+    """The budget slack's closed form at spend c . u."""
+    return max(0.0, budget - spend - lam6 / rho)
 
 
-def _volume(u, problem, classes=None):
+def _volume(u, problem, classes=None, out=None):
     """A u + bg; masked (``classes`` given), summed over A's nonzeros."""
     if classes is None:
-        return problem.a_matrix @ u + problem.background
+        return np.add(problem.a_matrix @ u, problem.background, out)
     rows, cols, values = problem.a_nonzeros
-    return np.bincount(rows, values * u[cols], problem.background.size) + problem.background
+    products = u[cols]
+    products *= values
+    return np.add(np.bincount(rows, products, problem.background.size), problem.background, out)
 
 
-def residual_vectors(state, problem, volume=None, parts=None):
+def residual_vectors(state, problem, volume=None, parts=None, spend=None):
     """The seven coupling residuals at the state's current primal values,
     written into and returned as ``parts``, the parts of a vector laid out
     like ``state.duals`` (a new one when not given). ``volume`` is A u + bg
-    at the state's u, computed here when not given.
+    and ``spend`` c . u at the state's u, computed here when not given.
     """
     p = problem
-    if volume is None:
-        volume = _volume(state.u, p, state.classes)
+    volume = _volume(state.u, p, state.classes) if volume is None else volume
+    spend = float(p.costs @ state.u) if spend is None else spend
     if parts is None:
         parts = state.split(np.empty(state.duals.size))
+    s_mat, gamma, beta = state.parts()[0][:3]
     r1, r2, r3, r4, r5, r6, r7 = parts
     if state.classes is None:
         w_sums = state.w_mat.sum(axis=0)
@@ -641,13 +667,13 @@ def residual_vectors(state, problem, volume=None, parts=None):
     else:
         w_sums = np.bincount(state.classes, state.w_mat, p.q.size)
         demand = np.bincount(state.classes, state.u, p.q.size)
-    np.subtract(_offer_mass(state.s_mat, state.weights), state.u, r1)
+    np.subtract(_offer_mass(s_mat, state.weights, r1), state.u, r1)
     np.subtract(w_sums, 1.0, r2)
     np.subtract(demand, p.q, r3)
-    np.subtract(volume, state.gamma, r4)
-    np.subtract(state.h_mat, state.s_mat, r5)
-    r6[0] = float(p.costs @ state.u) + state.beta - p.budget
-    np.subtract(state.w_mat, state.s_mat, r7)
+    np.subtract(volume, gamma, r4)
+    np.subtract(state.h_mat, s_mat, r5)
+    r6[0] = spend + float(beta) - p.budget
+    np.subtract(state.w_mat, s_mat, r7)
     return parts
 
 
@@ -674,31 +700,29 @@ def admm_iterate(state, problem, cfg, u_factor, order=(0, 1)):
     other orders remain for the identity tests, and after a sweep ending
     in block 0 the volume is formed again at the new u. Appends the
     seven residual norms, S-sized ones weighted per driver, to the state's
-    history, and A u + bg to the volumes whose relaxed objectives
-    ``objective_history`` evaluates in blocks. Returns the largest of the
-    seven norms.
+    history, and writes A u + bg into the next row of its ``volumes``.
+    Returns the largest of the seven norms.
     """
     rho = cfg.rho
     p = problem
-    (lam1, lam2, _, lam4, lam5, lam6, lam7), residual, parts, scaled, scaled_parts = state.parts()
-    volume = None  # A u + bg at the current u, once block 1 has computed it
+    (s_mat, _, _, duals, lam1, lam2, _, lam4, lam5, lam6, lam7), residual, parts, scaled, scaled_parts = state.parts()
+    volume = spend = None  # A u + bg and c . u at the current u, once block 1 has formed them
     for block in order:
         if block == 0:
-            state.u = u_update(state, p, rho, u_factor)
-            state.w_mat = w_update(state.s_mat, lam2, lam7, rho, state.classes, state.pair_divisor)
-            state.h_mat = h_update(state.s_mat, lam5, rho, cfg.lambda_reg)
-            volume = None
+            u_update(state, p, rho, u_factor, state.u)
+            w_update(s_mat, lam2, lam7, rho, state.classes, state.pair_divisor, state.w_mat)
+            h_update(s_mat, lam5, rho, cfg.lambda_reg, state.h_mat)
+            volume = spend = None
         else:
-            state.s_mat = s_update(
-                state.u, state.h_mat, state.w_mat, lam1, lam5, lam7, rho, state.weights, state.s_divisor
-            )
-            volume = _volume(state.u, p, state.classes)
-            state.gamma = gamma_subproblem(volume, lam4, rho, p.t0_row, p.w_row, quart=p.prox_quart)
-            state.beta = beta_update(state.u, float(lam6), rho, p.costs, p.budget)
+            s_update(state.u, state.h_mat, state.w_mat, lam1, lam5, lam7, rho, state.weights, state.s_divisor, s_mat)
+            volume = _volume(state.u, p, state.classes, state.volumes[state.pending])
+            state.gamma = gamma_subproblem(volume, lam4, rho, p.t0_row, p.w_row, quart=state.prox)
+            spend = float(p.costs @ state.u)
+            state.point[state.beta_at] = beta_update(spend, float(lam6), rho, p.budget)
     if volume is None:
-        volume = _volume(state.u, p, state.classes)
+        volume = _volume(state.u, p, state.classes, state.volumes[state.pending])
 
-    residual_vectors(state, p, volume, parts)
+    residual_vectors(state, p, volume, parts, spend)
     np.multiply(residual, state.residual_scale, scaled)
     if state.norm_starts is None:
         norms = np.array([math.sqrt(x.dot(x)) for x in scaled_parts])
@@ -713,11 +737,11 @@ def admm_iterate(state, problem, cfg, u_factor, order=(0, 1)):
         _check_finite(state, state.iteration)
 
     residual *= rho
-    state.duals += residual
+    duals += residual
     state.iteration += 1
     state.residual_history.append(norms)
-    state.pending_volumes.append(volume)
-    if len(state.pending_volumes) >= state.objective_block:
+    state.pending += 1
+    if state.pending == len(state.volumes):
         state.flush_objectives()
     return largest
 
@@ -747,11 +771,11 @@ class _Anderson:
     sweep to the next or the system is singular, fires on extrapolations
     that went wrong; in the plain Euclidean norm of x it fired on more
     sweeps than it let extrapolate, and one gate-4 instance ran out of
-    sweeps. After a clear the state keeps F(x), the plain sweep. The
-    extrapolated gamma and beta are clipped at 0, the domains of their prox
-    steps. The duals are written into the state in place, so
-    ``AdmmState.parts()`` stays valid; S and gamma are bound to views of
-    the point, which the next sweep reads before it replaces them.
+    sweeps. After a clear the state keeps F(x), the plain sweep. x is the
+    state's own ``point``: each sweep copies F(x) into the ring once, and
+    the extrapolated x is written into the point, where its gamma and beta
+    are clipped at 0, the domains of their prox steps; ``latest`` keeps a
+    copy of it for the next residual.
 
     With OpenBLAS, a dot product of more than 10,000 floats, or a one-row
     matrix-vector product that long, is summed in pieces across threads,
@@ -763,15 +787,10 @@ class _Anderson:
     """
 
     def __init__(self, state, rho):
-        n_cols, rows = state.s_mat.size, state.gamma.size
         slots = ANDERSON_MEMORY + 1
-        self.outputs = np.zeros((slots, n_cols + rows + 1 + state.duals.size))  # F(x_i), a slot a sweep
+        self.outputs = np.zeros((slots, state.point.size))  # F(x_i), a slot a sweep
         self.residuals = np.zeros(self.outputs.shape)  # g_i = F(x_i) - x_i, times the metric's root
-        self.point = np.empty(self.outputs.shape[1])  # the x the next sweep maps
-        self._gather(state, self.point)
-        # the point's parts, as views
-        self.s_mat, self.gamma = self.point[:n_cols], self.point[n_cols : n_cols + rows]
-        self.beta_at, self.duals = n_cols + rows, self.point[n_cols + rows + 1 :]
+        self.latest = state.point.copy()  # the x the next sweep maps
         # the square root of the diagonal metric: rho (q^2 + 2 q) on S, where
         # each entry enters the offer mass weighted by its q drivers and
         # H - S and W - S once per driver, rho on gamma and beta, and each
@@ -779,7 +798,7 @@ class _Anderson:
         w = state.weights
         root_rho = math.sqrt(rho)
         self.metric_root = np.concatenate(
-            (np.sqrt(rho * (w * w + 2.0 * w)), np.full(rows + 1, root_rho), state.residual_scale / root_rho)
+            (np.sqrt(rho * (w * w + 2.0 * w)), np.full(state.gamma.size + 1, root_rho), state.residual_scale / root_rho)
         )
         self.gram = np.zeros((slots + 1, slots + 1))  # R, bordered at row and column 0
         self.gram[0, 1:] = self.gram[1:, 0] = 1.0
@@ -790,10 +809,6 @@ class _Anderson:
         self.slot = 0  # where the next sweep goes
         self.last = math.inf  # ||g||^2 of the last sweep
         self.steps = self.restarts = 0
-
-    @staticmethod
-    def _gather(state, out):
-        np.concatenate((state.s_mat, state.gamma, (state.beta,), state.duals), out=out)
 
     def _restart(self, slot, norm):
         """Keep only the newest sweep, moved to slot 0."""
@@ -807,9 +822,9 @@ class _Anderson:
     def extrapolate(self, state):
         """Record the sweep that just ran and move the state to the next x."""
         j = self.slot
-        f, g = self.outputs[j], self.residuals[j]
-        self._gather(state, f)
-        np.subtract(f, self.point, out=g)
+        f, g, x = self.outputs[j], self.residuals[j], state.point
+        np.copyto(f, x)
+        np.subtract(f, self.latest, out=g)
         np.multiply(g, self.metric_root, out=g)
         np.matmul(self.residuals, g, out=self.row)
         norm = float(self.row[j])
@@ -827,15 +842,13 @@ class _Anderson:
             except np.linalg.LinAlgError:
                 self._restart(j, norm)
                 live = 1
-        if live == 1:
-            np.copyto(self.point, f)
-            return
-        np.matmul(coef[1:], self.outputs[:live], out=self.point)
-        np.maximum(self.gamma, 0.0, out=self.gamma)
-        self.point[self.beta_at] = state.beta = max(0.0, float(self.point[self.beta_at]))
-        state.s_mat, state.gamma = self.s_mat, self.gamma
-        np.copyto(state.duals, self.duals)
-        self.steps += 1
+        if live > 1:
+            np.matmul(coef[1:], self.outputs[:live], out=x)
+            gamma = state.parts()[0][1]
+            np.maximum(gamma, 0.0, out=gamma)
+            x[state.beta_at] = max(0.0, float(x[state.beta_at]))
+            self.steps += 1
+        np.copyto(self.latest, x)
 
 
 def run_admm(problem, cfg=None):

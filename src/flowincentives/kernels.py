@@ -50,26 +50,39 @@ def bpr_terms(v, t0, w):
     return v * t0 * (1.0 + 0.15 * (v / w) ** 4)
 
 
+class ProxRows:
+    """Row buffers that repeated ``gamma_solve`` calls reuse, with q as
+    ``quart`` and ``out``, where each call writes its root."""
+
+    def __init__(self, quart, out):
+        self.quart, self.out = quart, out
+        self.c0, self.q_cube, self.d, self.work = np.empty((4, out.size))
+
+
 def gamma_solve(m, lam, rho, t0, w, quart=None):
     """Vectorized Newton for the volume prox, one root per entry of ``m``,
     which is raveled; the other arguments broadcast against it. ``quart``
-    is q = 0.75 t0 / w^4, computed here when not given."""
+    is q = 0.75 t0 / w^4, computed here when not given, or a ``ProxRows``
+    whose buffers the loop runs in and whose ``out`` it returns; otherwise
+    the root is a new array. ``m`` and ``lam`` are only read."""
     if type(m) is not np.ndarray or m.ndim != 1:
         m = np.asarray(m, dtype=float).ravel()
+    if not isinstance(quart, ProxRows):
+        quart = ProxRows(0.75 * t0 / w**4 if quart is None else quart, np.empty(m.size))
+    q, g, c0, q_cube, d, work = quart.quart, quart.out, quart.c0, quart.q_cube, quart.d, quart.work
     # phi(0), clamped to 0: rows where it is nonnegative start at their root, 0, and stay
-    c0 = t0 - lam - rho * m
-    g = np.maximum(m, 0.0)
+    np.subtract(np.subtract(t0, lam, c0), np.multiply(m, rho, d), c0)
+    np.maximum(m, 0.0, out=g)
     np.copyto(g, 0.0, where=c0 >= 0.0)
     np.minimum(c0, 0.0, out=c0)
-    if quart is None:
-        quart = 0.75 * t0 / w**4
     for _ in range(200):
         # phi(g) = c0 + g (q g^3 + rho), phi'(g) = 4 q g^3 + rho
-        q_cube = quart * (g * g * g)
-        d = c0 + g * (q_cube + rho)
-        if np.abs(d).max(initial=0.0) < DERIVATIVE_TOL:
+        np.multiply(q, np.multiply(np.multiply(g, g, q_cube), g, q_cube), q_cube)
+        np.add(c0, np.multiply(g, np.add(q_cube, rho, d), d), d)
+        if np.maximum.reduce(np.abs(d, work), initial=0.0) < DERIVATIVE_TOL:
             break
-        g = g - d / (4.0 * q_cube + rho)
+        # g - phi / phi'
+        np.subtract(g, np.divide(d, np.add(np.multiply(q_cube, 4.0, work), rho, work), work), g)
     return g
 
 

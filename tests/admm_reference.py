@@ -24,6 +24,13 @@ its own. ``compressed_gamma_solve`` keeps the plain Newton as it ran on
 the compressed rows with phi(0) < 0 alone, scattering its roots back: the
 package's every-row prox must equal it to the bit.
 
+``accelerated_run`` keeps ``run_admm`` as its masked sweeps and Anderson
+steps allocated their iterates: every block a fresh array, the
+extrapolation gathering S, gamma, beta and the duals into one point and
+scattering the combination back. Its floats come in the order the
+package's in-place sweep must keep, with ``compressed_gamma_solve`` as the
+prox, which the package's equals to the bit.
+
 ``round_counts`` keeps the column-at-a-time multiple-choice knapsack DP
 the package's pair-space rounding must equal bit for bit, counts and L1:
 one Python step per offer column, each extending every state by 0..q_k
@@ -38,6 +45,7 @@ n_cols x n_cols same-pair mask.
 Kept separate from the package so it shares no code with what it checks;
 ``sweep`` takes the package's problem and state objects and the u-update
 inverse, nothing else, ``masked_sweep`` the package's problem and the
+u-update inverse, ``accelerated_run`` the package's problem, config and
 u-update inverse, ``round_counts`` a demand with ``blocks`` and ``q``, and
 ``polish_counts`` the package's problem.
 """
@@ -268,6 +276,144 @@ def masked_sweep(state, problem, rho, lambda_reg, u_factor, order):
         float(np.sum(v * p.t0_row * (1.0 + 0.15 * (v / p.w_row) ** 4)))
     )
     return state
+
+
+def accelerated_run(problem, cfg, u_factor, memory=5):
+    """The masked run with type-II Anderson acceleration over the last
+    ``memory`` + 1 sweeps, stopping on a plain sweep whose largest scaled
+    residual norm is below ``cfg.residual_tol`` or on ``cfg.max_iters``."""
+    p = problem
+    rho, lambda_reg = cfg.rho, cfg.lambda_reg
+    rows, cols, values = p.a_nonzeros
+    n_rows = p.background.size
+    classes = np.argmax(p.d_matrix > 0, axis=0)
+    n_cols, n_pairs = classes.size, p.q.size
+    s = 1.0 / np.bincount(classes)[classes]
+    weights = p.q[classes]
+    pair_divisor = np.bincount(classes, minlength=n_pairs) + 1.0
+    s_divisor = weights + 2.0
+
+    def volume_of(u):
+        return np.bincount(rows, values * u[cols], n_rows) + p.background
+
+    u = s * weights
+    gamma = volume_of(u)
+    beta = max(0.0, p.budget - float(p.costs @ u))
+    root = np.sqrt(weights)
+    scale = (np.ones(n_cols), np.sqrt(p.q), np.ones(n_pairs), np.ones(n_rows), root, np.ones(1), root)
+    sizes = [x.size for x in scale]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes if min(sizes) > 0 else None
+    residual_scale = np.concatenate(scale)
+    duals = np.zeros(ends[-1])
+    cuts = ends[:-1]
+
+    slots = memory + 1
+    width = n_cols + n_rows + 1 + duals.size
+    outputs, residuals = np.zeros((slots, width)), np.zeros((slots, width))
+    point = np.concatenate((s, gamma, (beta,), duals))
+    root_rho = np.sqrt(rho)
+    metric_root = np.concatenate(
+        (np.sqrt(rho * (weights * weights + 2.0 * weights)), np.full(n_rows + 1, root_rho), residual_scale / root_rho)
+    )
+    gram = np.zeros((slots + 1, slots + 1))
+    gram[0, 1:] = gram[1:, 0] = 1.0
+    rhs_border = np.zeros(slots + 1)
+    rhs_border[0] = 1.0
+    live = slot = steps = restarts = iteration = 0
+    last = np.inf
+    history, objectives = [], []
+
+    def restart(j, norm):
+        if j:
+            outputs[0] = outputs[j]
+            residuals[0] = residuals[j]
+        gram[1, 1] = norm
+        return 1, 1
+
+    while True:
+        lam1, lam2, lam3, lam4, lam5, lam6, lam7 = np.split(duals, cuts)
+        lam6 = lam6[0]
+        # block 0: u, W, H
+        target = gamma - p.background - lam4 / rho
+        rhs = (
+            (lam1 - lam3[classes] - lam6 * p.costs) / rho
+            + s * weights
+            + weights
+            + np.bincount(cols, values * target[rows], n_cols)
+            + (p.budget - beta) * p.costs
+        )
+        u = u_factor @ rhs
+        g = 1.0 + s - (lam7 + lam2[classes]) / rho
+        w = g - (np.bincount(classes, g, n_pairs) / pair_divisor)[classes]
+        h = ((rho * s - lam5 - lambda_reg / 2.0) / (rho - lambda_reg)).clip(0.0, 1.0)
+        # block 1: S, gamma, beta
+        s = (u + (lam5 + lam7 - lam1) / rho + h + w) / s_divisor
+        volume = volume_of(u)
+        gamma = compressed_gamma_solve(volume, lam4, rho, p.t0_row, p.w_row)
+        beta = max(0.0, p.budget - float(p.costs @ u) - lam6 / rho)
+        # residuals, their scaled norms and the dual ascent
+        residual = np.concatenate((
+            s * weights - u,
+            np.bincount(classes, w, n_pairs) - 1.0,
+            np.bincount(classes, u, n_pairs) - p.q,
+            volume - gamma,
+            h - s,
+            (float(p.costs @ u) + beta - p.budget,),
+            w - s,
+        ))
+        scaled = residual * residual_scale
+        if starts is None:
+            norms = np.array([np.sqrt(x.dot(x)) for x in np.split(scaled, cuts)])
+        else:
+            norms = np.sqrt(np.add.reduceat(scaled * scaled, starts))
+        duals = duals + residual * rho
+        iteration += 1
+        history.append(norms)
+        v = np.maximum(volume, 0.0)
+        objectives.append(float((v * p.t0_row * (1.0 + 0.15 * (v / p.w_row) ** 4)).sum()))
+        converged = bool(norms.max() < cfg.residual_tol)
+        if converged or iteration == cfg.max_iters:
+            break
+        # the Anderson step: record F(x), then move to the combination
+        f, g = outputs[slot], residuals[slot]
+        f[:] = np.concatenate((s, gamma, (beta,), duals))
+        g[:] = (f - point) * metric_root
+        row = residuals @ g
+        norm = float(row[slot])
+        rose, last = norm > last, norm
+        j = slot
+        if rose:
+            restarts += 1
+            live, slot = restart(j, norm)
+        else:
+            gram[1 + j, 1:] = gram[1:, 1 + j] = row
+            live, slot = min(live + 1, slots), (j + 1) % slots
+        if live > 1:
+            try:
+                coef = np.linalg.solve(gram[: live + 1, : live + 1], rhs_border[: live + 1])
+            except np.linalg.LinAlgError:
+                restarts += 1
+                live, slot = restart(j, norm)
+        if live == 1:
+            point = f.copy()
+            continue
+        point = coef[1:] @ outputs[:live]
+        point[n_cols : n_cols + n_rows] = np.maximum(point[n_cols : n_cols + n_rows], 0.0)
+        point[n_cols + n_rows] = max(0.0, float(point[n_cols + n_rows]))
+        s, gamma, beta, duals = np.split(point.copy(), [n_cols, n_cols + n_rows, n_cols + n_rows + 1])
+        beta = float(beta[0])
+        steps += 1
+    return SimpleNamespace(
+        u=u,
+        s_relaxed=s,
+        residuals=np.array(history),
+        objectives=np.array(objectives),
+        iterations=iteration,
+        converged=converged,
+        anderson_steps=steps,
+        anderson_restarts=restarts,
+    )
 
 
 def polish_counts(counts, problem):

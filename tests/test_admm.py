@@ -33,7 +33,7 @@ import admm_reference
 from conftest import per_driver_incidence, scipy_milp_cases
 from flowincentives.errors import DivergenceError, InfeasibleModelError, InputError
 from flowincentives.harness import generate_synthetic, prepare, realized_travel_time
-from flowincentives.kernels import bpr_terms, gamma_solve
+from flowincentives.kernels import ProxRows, bpr_terms, gamma_solve
 from flowincentives.network import Link, RoadNetwork
 
 
@@ -276,7 +276,7 @@ def test_closed_forms_minimize_their_blocks():
     )
     assert np.max(np.abs(grad)) < 1e-6
 
-    beta_star = beta_update(state.u, state.lam6, rho, problem.costs, problem.budget)
+    beta_star = beta_update(float(problem.costs @ state.u), state.lam6, rho, problem.budget)
     slope = state.lam6 + rho * (float(problem.costs @ state.u) + beta_star - problem.budget)
     assert (abs(slope) < 1e-9) or (beta_star == 0.0 and slope >= 0.0)
 
@@ -859,6 +859,33 @@ def test_acceleration_keeps_the_answer(make_problem, fewer):
         assert result.iterations < plain.iteration
 
 
+@pytest.mark.parametrize(
+    "make_problem, cfg",
+    [
+        (small_problem, AdmmConfig(lambda_reg=0.0)),
+        (small_problem, AdmmConfig(lambda_reg=0.5)),
+        (readme_problem, AdmmConfig()),
+        (hundred_driver_problem, AdmmConfig()),
+        (hundred_driver_problem, AdmmConfig(rho=1.7)),
+        (lambda: synthetic_problem(nodes=160, drivers=480), AdmmConfig()),
+        (trunk_problem, AdmmConfig()),
+    ],
+    ids=["small", "small lambda 0.5", "readme", "100 drivers", "100 drivers rho 1.7", "480 drivers", "one trunk"],
+)
+def test_accelerated_run_is_bit_identical_to_frozen_reference(make_problem, cfg):
+    # run_admm sweeps and extrapolates in place, in one vector the state
+    # owns; the frozen run allocates every iterate. Every float of the
+    # answer and both histories must agree, and so must every count
+    problem = make_problem()
+    got = run_admm(problem, cfg)
+    want = admm_reference.accelerated_run(problem, cfg, build_u_factor(problem))
+    for name in ("u", "s_relaxed", "residuals", "objectives"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    counts = ("iterations", "converged", "anderson_steps", "anderson_restarts")
+    assert [getattr(got, name) for name in counts] == [getattr(want, name) for name in counts]
+    assert got.anderson_steps > 0
+
+
 def test_run_reads_no_seed_and_forms_the_volume_once_per_sweep(monkeypatch):
     # every sweep runs block 0 then block 1, so the config's seed changes
     # nothing, and block 1's A u + bg at the new u serves the residuals:
@@ -1075,6 +1102,37 @@ def test_gamma_solve_matches_compressed_newton_on_a_480_driver_run(monkeypatch):
     assert 0 < inactive < sum(call[0].size for call in calls)
 
 
+def test_gamma_solve_in_place_returns_the_allocating_floats():
+    # given a ProxRows, the Newton loop runs in its buffers and writes the
+    # root to its out: the same floats as the call that allocates, with m
+    # and lam only read, and buffers that hold nothing over between calls
+    rng = np.random.default_rng(43)
+    for n in (0, 1, 9, 318):
+        m = rng.uniform(-2.0, 30.0, n)
+        lam = rng.normal(0.0, 2.0, n)
+        lam[: n // 3] -= 200.0  # rows with phi(0) >= 0
+        t0, w = rng.uniform(0.02, 0.5, n), rng.uniform(0.3, 20.0, n)
+        rho = float(rng.uniform(0.2, 3.0))
+        quart = 0.75 * t0 / w**4
+        assert n < 9 or (prox_derivative(0.0, m, lam, rho, t0, w) >= 0.0).any()
+        want = gamma_solve(m, lam, rho, t0, w, quart=quart)
+        rows = ProxRows(quart, np.full(n, np.nan))
+        before = m.copy(), lam.copy()
+        for _ in range(2):
+            got = gamma_solve(m, lam, rho, t0, w, quart=rows)
+            assert got is rows.out and np.array_equal(got, want)
+        assert np.array_equal(m, before[0]) and np.array_equal(lam, before[1])
+        # without buffers, each call returns an array of its own
+        again = gamma_solve(m, lam, rho, t0, w)
+        assert np.array_equal(again, want) and not np.shares_memory(again, want)
+    # a 0-d m is one row
+    m, lam, t0, w = np.array(7.0), np.array([0.3]), np.array([0.2]), np.array([2.0])
+    rows = ProxRows(0.75 * t0 / w**4, np.empty(1))
+    got = gamma_solve(m, lam, 1.0, t0, w, quart=rows)
+    assert got is rows.out and np.array_equal(got, gamma_solve(m, lam, 1.0, t0, w))
+    assert m.shape == () and m == 7.0
+
+
 def test_prox_constant_is_computed_once_per_problem():
     # the sweep hands the prox the problem's 0.75 t0 / w^4; the roots must
     # be those of the 5-argument call, which computes it itself
@@ -1090,28 +1148,31 @@ def test_prox_constant_is_computed_once_per_problem():
 
 @pytest.mark.parametrize("make_problem", [readme_problem, lambda: synthetic_problem(nodes=160, drivers=480)])
 def test_objectives_evaluated_in_blocks_equal_one_sweep_at_a_time(make_problem):
-    # each sweep's A u + bg waits on the state, and as many of them as fit
-    # in OBJECTIVE_BLOCK_FLOATS are scored as one block: after that many
-    # sweeps, or when the history is read. Each objective must be the 1-D
-    # sum of its sweep's BPR terms, to the bit
+    # each sweep writes its A u + bg into the next row of the state's
+    # block of volumes, as many rows as fit in OBJECTIVE_BLOCK_FLOATS, and
+    # the pending rows are scored where they lie: once the block is full,
+    # or when the history is read. Each objective must be the 1-D sum of
+    # its sweep's BPR terms, to the bit
     problem = make_problem()
     cfg = AdmmConfig()
     factor = build_u_factor(problem)
     state = initial_state(problem, masked=True)
     rows = problem.t0_row.size
-    assert state.objective_block == OBJECTIVE_BLOCK_FLOATS // rows
+    assert state.volumes.shape == (OBJECTIVE_BLOCK_FLOATS // rows, rows)
     expected, pending = [], 0
     for sweep in range(150):
         admm_iterate(state, problem, cfg, factor, (sweep % 2, 1 - sweep % 2))
-        volume = np.maximum(_volume(state.u, problem, state.classes), 0.0)
+        volume = _volume(state.u, problem, state.classes)
+        assert state.pending == 0 or np.array_equal(state.volumes[state.pending - 1], volume)
+        volume = np.maximum(volume, 0.0)
         expected.append(float(bpr_terms(volume, problem.t0_row, problem.w_row).sum()))
-        pending = (pending + 1) % state.objective_block
+        pending = (pending + 1) % len(state.volumes)
         if sweep == 100:
             assert len(state.objective_history) == 101
             pending = 0
-        assert len(state.pending_volumes) == pending
+        assert state.pending == pending
     assert state.objective_history == expected
-    assert not state.pending_volumes
+    assert state.pending == 0
 
 
 def test_masked_norms_from_one_reduction_match_per_part_norms():
@@ -1181,6 +1242,33 @@ def test_duals_stay_in_sync_with_the_flat_vector(masked):
     for n, r in enumerate(residuals, start=1):
         name = f"lam{n}"
         assert np.array_equal(getattr(state, name), getattr(before, name) + cfg.rho * r), name
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["per driver", "masked"])
+def test_parts_are_built_once_per_point(masked):
+    # the cached views are rebuilt only when the point they view changes:
+    # assigning the duals copies into the point, a point that is itself a
+    # view keeps its views, and a rebound point or a copied state gets new
+    # ones over its own memory
+    problem = readme_problem()
+    state = initial_state(problem, masked=masked)
+    first = state.parts()
+    assert state.parts() is first
+    k = state.duals.size
+    state.duals = np.zeros(k + 1)[1:]
+    assert state.parts() is first and not state.duals.any()
+    size = state.point.size
+    state.point = np.arange(size + 1.0)[1:]
+    views = state.parts()
+    assert views is not first and state.parts() is views
+    assert state.beta == state.point[state.beta_at] == state.beta_at + 1.0
+    assert np.shares_memory(state.s_mat, state.point) and np.shares_memory(state.lam7, state.point)
+    assert np.array_equal(state.duals, state.point[state.beta_at + 1 :])
+    twin = copy.deepcopy(state)
+    assert twin.parts() is twin.parts()
+    assert np.shares_memory(twin.gamma, twin.point) and not np.shares_memory(twin.gamma, state.point)
+    twin.lam4 = 0.0
+    assert (twin.point[twin.dual_slices[3].start + twin.beta_at + 1] == 0.0) and state.lam4[0] != 0.0
 
 
 def test_sweep_names_the_diverged_block_before_duals_move():
